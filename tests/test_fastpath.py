@@ -359,6 +359,44 @@ class TestChunkStoreMemoBound:
         with pytest.raises(EntanglementError):
             ChunkStore(4, memo_limit=0)
 
+    def test_measure_memo_eviction_bounded(self):
+        from repro.aob import AoB
+        from repro.pattern.chunkstore import ChunkStore
+
+        store = ChunkStore(8, memo_limit=4)
+        rng = np.random.default_rng(7)
+        syms = [
+            store.intern(AoB(8, rng.integers(0, 2**64, size=4, dtype=np.uint64)))
+            for _ in range(12)
+        ]
+        expected = {sym: store.chunk(sym).popcount() for sym in syms}
+        for sym in syms:  # first sweep fills and overflows the memo
+            store.popcount(sym)
+            store.first_one(sym)
+        assert len(store._popcount) <= 4
+        assert len(store._first_one) <= 4
+        assert store.memo_evicted_by["measure"] > 0
+        assert store.stats()["memo_evicted_measure"] == \
+            store.memo_evicted_by["measure"]
+        # Evicted entries recompute correctly.
+        assert all(store.popcount(sym) == expected[sym] for sym in syms)
+
+    def test_measure_memo_lru_keeps_hot_entries(self):
+        from repro.aob import AoB
+        from repro.pattern.chunkstore import ChunkStore
+
+        store = ChunkStore(8, memo_limit=2)
+        syms = [
+            store.intern(AoB(8, np.full(4, i + 1, dtype=np.uint64)))
+            for i in range(3)
+        ]
+        store.popcount(syms[0])
+        store.popcount(syms[1])
+        store.popcount(syms[0])        # refresh: syms[1] is now LRU
+        store.popcount(syms[2])        # evicts syms[1], not syms[0]
+        assert syms[0] in store._popcount
+        assert syms[1] not in store._popcount
+
 
 class TestBitvectorVectorized:
     @pytest.mark.parametrize("ways", [0, 3, 6, 10])

@@ -324,6 +324,49 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="integrity"):
             corrupted.restore(target.machine)
 
+    def _rewrite_re_checkpoint(self, tmp_path, edit):
+        """Save an RE checkpoint, then rewrite its arrays through ``edit``."""
+        import json
+
+        from repro.faults.checkpoint import Checkpoint
+
+        path = str(tmp_path / "cp.npz")
+        Checkpoint.take(self._partial_fig10("re").machine).save(path)
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        header = json.loads(bytes(arrays["header"]).decode("utf-8"))
+        assert header["store_chunk_count"] > 2
+        edit(arrays, header)
+        arrays["header"] = np.frombuffer(
+            json.dumps(header, sort_keys=True).encode("utf-8"), dtype=np.uint8
+        )
+        np.savez_compressed(path, **arrays)
+        return path
+
+    def test_missing_chunk_payload_named(self, tmp_path):
+        from repro.faults.checkpoint import Checkpoint
+
+        path = self._rewrite_re_checkpoint(
+            tmp_path, lambda arrays, header: arrays.pop("chunk_2")
+        )
+        with pytest.raises(CheckpointError,
+                           match="missing the payload of chunk 2") as err:
+            Checkpoint.load(path)
+        assert "digest" not in str(err.value)
+
+    def test_digest_refs_rejected_as_unsupported(self, tmp_path):
+        from repro.faults.checkpoint import Checkpoint
+
+        def to_refs(arrays, header):
+            # The deduplicated layout: payload gone, digest reference in
+            # the header instead.
+            del arrays["chunk_2"]
+            header["chunk_refs"] = {"2": "0" * 64}
+
+        path = self._rewrite_re_checkpoint(tmp_path, to_refs)
+        with pytest.raises(CheckpointError, match="chunk_refs"):
+            Checkpoint.load(path)
+
 
 class TestWideWays:
     def test_fig10_at_24_way_in_bounded_memory(self):
