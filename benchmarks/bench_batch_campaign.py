@@ -2,20 +2,24 @@
 """Regenerate ``BENCH_batch.json``: batched campaign throughput.
 
 Times the acceptance workload for ``tangled faults --batch N`` -- a
-256-run fig10 fault campaign -- three ways:
+256-run fig10 fault campaign -- and a plain 256-machine workload, four
+ways:
 
-- ``campaign_serial``: the serial campaign driver (one instrumented
-  per-machine drive loop per run, events applied between steps);
+- ``campaign_serial``: the serial campaign driver, which runs each run
+  on the predecoded fast loop in segments between its fault events --
+  the fastest per-machine campaign drive;
 - ``campaign_batch256``: the same campaign packed into one 256-lane
   :class:`repro.cpu.batch.BatchFunctionalSimulator`;
 - ``fastpath_single``: 256 plain fastpath ``run()`` loops with no
-  fault machinery at all -- the best the per-machine engine can do.
+  fault machinery at all -- the best the per-machine engine can do;
 - ``batch_plain256``: the 256-lane batch engine on the same plain
   workload, for an apples-to-apples machines*steps/sec comparison.
 
 The campaign reports are asserted byte-identical before any number is
-written.  Rates are aggregate machines*steps per second; ``speedups``
-records batch-vs-serial for both the campaign and the plain workload.
+written.  Each time is the median of ``REPEATS`` interleaved rounds.
+Rates are aggregate machines*steps per second; ``speedups`` records
+batch-vs-serial for both the campaign and the plain workload, each
+against the fast per-machine loop.
 
 Run from the repo root::
 
@@ -25,6 +29,7 @@ Run from the repo root::
 from __future__ import annotations
 
 import json
+import statistics
 import time
 
 from repro.apps import fig10_program
@@ -32,6 +37,7 @@ from repro.cpu import BatchFunctionalSimulator, FunctionalSimulator
 from repro.faults.campaign import render_report, run_campaign
 
 RUNS = 256  # acceptance workload: 256 machines
+REPEATS = 9  # each figure is the median of this many timings
 WORKLOAD = dict(program="fig10", runs=RUNS, seed=7)
 
 
@@ -43,48 +49,61 @@ def _rate(steps: int, seconds: float) -> dict:
     }
 
 
-def _time_campaign(**kwargs):
-    t0 = time.perf_counter()
-    report = run_campaign(**WORKLOAD, **kwargs)
-    seconds = time.perf_counter() - t0
-    # Nominal aggregate work: every run retires the golden step count
-    # unless a fault ends it early; identical accounting on both paths.
-    steps = report["golden"]["steps"] * RUNS
-    return report, _rate(steps, seconds)
+def _campaign_serial() -> dict:
+    return run_campaign(**WORKLOAD)
 
 
-def _time_fastpath_single() -> dict:
+def _campaign_batch() -> dict:
+    return run_campaign(**WORKLOAD, batch=RUNS)
+
+
+def _fastpath_single() -> int:
     program = fig10_program()
     steps = 0
-    t0 = time.perf_counter()
     for _ in range(RUNS):
         sim = FunctionalSimulator(ways=8)
         sim.use_fastpath = True
         sim.load(program)
         sim.run(max_steps=100_000)
         steps += sim.machine.instret
-    return _rate(steps, time.perf_counter() - t0)
+    return steps
 
 
-def _time_batch_plain() -> dict:
-    program = fig10_program()
-    t0 = time.perf_counter()
+def _batch_plain() -> int:
     batch = BatchFunctionalSimulator(RUNS, ways=8)
-    batch.load(program)
+    batch.load(fig10_program())
     batch.run(max_steps=100_000)
     assert batch.machines.halted.all()
-    steps = int(batch.machines.instret.sum())
-    return _rate(steps, time.perf_counter() - t0)
+    return int(batch.machines.instret.sum())
+
+
+def _median_times(*works) -> list:
+    """``[(result, median seconds), ...]`` per ``work``, timed in
+    ``REPEATS`` interleaved rounds so host speed drift hits all alike."""
+    times = [[] for _ in works]
+    results = [None] * len(works)
+    for _ in range(REPEATS):
+        for i, work in enumerate(works):
+            t0 = time.perf_counter()
+            results[i] = work()
+            times[i].append(time.perf_counter() - t0)
+    return [(result, statistics.median(spent))
+            for result, spent in zip(results, times)]
 
 
 def main() -> None:
-    serial_report, serial = _time_campaign()
-    batch_report, batch = _time_campaign(batch=RUNS)
+    ((serial_report, serial_s), (batch_report, batch_s),
+     (fastpath_steps, fastpath_s), (plain_steps, plain_s)) = _median_times(
+        _campaign_serial, _campaign_batch, _fastpath_single, _batch_plain)
     assert render_report(serial_report) == render_report(batch_report), \
         "batch campaign report diverged from serial"
-
-    fastpath = _time_fastpath_single()
-    batch_plain = _time_batch_plain()
+    # Nominal aggregate campaign work: every run retires the golden step
+    # count unless a fault ends it early; identical accounting on both.
+    campaign_steps = serial_report["golden"]["steps"] * RUNS
+    serial = _rate(campaign_steps, serial_s)
+    batch = _rate(campaign_steps, batch_s)
+    fastpath = _rate(fastpath_steps, fastpath_s)
+    batch_plain = _rate(plain_steps, plain_s)
 
     doc = {
         "workload": {

@@ -16,6 +16,7 @@ inline (and in DESIGN.md):
 
 from __future__ import annotations
 
+import functools
 import time as _time
 from dataclasses import dataclass
 
@@ -71,8 +72,9 @@ class StaticEffects:
     is_store: bool
 
 
+@functools.lru_cache(maxsize=None)
 def static_effects(instr: Instr) -> StaticEffects:
-    """Registers read/written by ``instr``, from the spec alone."""
+    """Registers read/written by ``instr``, from the spec alone (memoized)."""
     m = instr.mnemonic
     ops = instr.ops
     rg: set[int] = set()
@@ -142,267 +144,21 @@ def static_effects(instr: Instr) -> StaticEffects:
     )
 
 
-def execute(machine, instr: Instr, syscalls=None) -> Effects:
-    """Execute ``instr`` on ``machine`` (PC already points at it).
-
-    Advances the PC (including branches/jumps), mutates registers, memory
-    and the Qat register file, and returns the dynamic :class:`Effects`.
-    """
-    m = instr.mnemonic
-    ops = instr.ops
-    spec = INSTRUCTIONS.get(m)
-    if spec is None:
-        machine.trap(
-            TrapCause.ILLEGAL_OPCODE,
-            detail=f"no executor for {m!r}",
-            instruction=m,
-        )
-    pc_next = (machine.pc + spec.words) & 0xFFFF
-    try:
-        stat = static_effects(instr)
-    except SimulatorError as exc:  # pragma: no cover - table gap guard
-        machine.trap(
-            TrapCause.ILLEGAL_OPCODE,
-            detail=str(exc),
-            instruction=m,
-            resume_pc=pc_next,
-        )
-    eff = Effects(
-        mnemonic=m,
-        next_pc=pc_next,
-        reads_gpr=stat.reads_gpr,
-        writes_gpr=stat.writes_gpr,
-        reads_qreg=stat.reads_qreg,
-        writes_qreg=stat.writes_qreg,
-        is_load=stat.is_load,
-        is_store=stat.is_store,
-    )
-    read = machine.read_reg
-    read_s = machine.read_reg_signed
-    write = machine.write_reg
-
-    # Flight recorder: capture PC and raw word(s) *before* execution so a
-    # store over its own encoding still records what actually ran.  The
-    # retire event is appended at the tail, after the instruction
-    # completes without trapping, mirroring the fast loops.
-    _fr = _flight.RECORDER
-    if _fr.enabled:
-        _fr_pc = machine.pc
-        _w0 = int(machine.mem[_fr_pc])
-        if spec.words == 2:
-            _fr_raw = (_w0, int(machine.mem[(_fr_pc + 1) & 0xFFFF]))
-        else:
-            _fr_raw = (_w0,)
-
-    # Telemetry: time Qat coprocessor ops, count syscalls.  One branch
-    # per instruction when observability is off (the default).
-    _t0 = 0
-    if _obs.active:
-        if m[0] == "q":
-            _t0 = _time.perf_counter_ns()
-        elif m == "sys":
-            _obs.current().metrics.counter("cpu.syscalls").inc()
-
-    if m == "add":
-        write(ops[0], read(ops[0]) + read(ops[1]))
-    elif m == "addf":
-        result = bf16_add(read(ops[0]), read(ops[1]))
-        if machine.trap_policy.trap_bf16 and (result & _BF16_EXP_MASK) == _BF16_EXP_MASK:
-            machine.trap(
-                TrapCause.BF16_FAULT,
-                detail=f"addf produced non-finite bf16 {result:#06x}",
-                instruction=instr.render(),
-                resume_pc=pc_next,
-            )
-        write(ops[0], result)
-    elif m == "and":
-        write(ops[0], read(ops[0]) & read(ops[1]))
-    elif m == "brf":
-        if read(ops[0]) == 0:
-            pc_next = (pc_next + ops[1]) & 0xFFFF
-            eff.taken_branch = True
-    elif m == "brt":
-        if read(ops[0]) != 0:
-            pc_next = (pc_next + ops[1]) & 0xFFFF
-            eff.taken_branch = True
-    elif m == "copy":
-        write(ops[0], read(ops[1]))
-    elif m == "float":
-        write(ops[0], bf16_from_int(read(ops[0])))
-    elif m == "int":
-        write(ops[0], bf16_to_int(read(ops[0])))
-    elif m == "jumpr":
-        pc_next = read(ops[0])
-        eff.taken_branch = True
-    elif m == "lex":
-        write(ops[0], ops[1] & 0xFF if (ops[1] & 0x80) == 0 else (ops[1] & 0xFF) | 0xFF00)
-    elif m == "lhi":
-        write(ops[0], (read(ops[0]) & 0x00FF) | ((ops[1] & 0xFF) << 8))
-    elif m == "load":
-        addr = read(ops[1])
-        fence = machine.trap_policy.mem_fence
-        if fence is not None and addr >= fence:
-            machine.trap(
-                TrapCause.MEM_FAULT,
-                detail=f"load from {addr:#06x} beyond fence {fence:#06x}",
-                instruction=instr.render(),
-                resume_pc=pc_next,
-            )
-        write(ops[0], machine.read_mem(addr))
-    elif m == "mul":
-        write(ops[0], read(ops[0]) * read(ops[1]))
-    elif m == "mulf":
-        result = bf16_mul(read(ops[0]), read(ops[1]))
-        if machine.trap_policy.trap_bf16 and (result & _BF16_EXP_MASK) == _BF16_EXP_MASK:
-            machine.trap(
-                TrapCause.BF16_FAULT,
-                detail=f"mulf produced non-finite bf16 {result:#06x}",
-                instruction=instr.render(),
-                resume_pc=pc_next,
-            )
-        write(ops[0], result)
-    elif m == "neg":
-        write(ops[0], -read(ops[0]))
-    elif m == "negf":
-        write(ops[0], bf16_neg(read(ops[0])))
-    elif m == "not":
-        write(ops[0], ~read(ops[0]))
-    elif m == "or":
-        write(ops[0], read(ops[0]) | read(ops[1]))
-    elif m == "recip":
-        result = bf16_recip(read(ops[0]))
-        if machine.trap_policy.trap_bf16 and (result & _BF16_EXP_MASK) == _BF16_EXP_MASK:
-            machine.trap(
-                TrapCause.BF16_FAULT,
-                detail=f"recip produced non-finite bf16 {result:#06x}",
-                instruction=instr.render(),
-                resume_pc=pc_next,
-            )
-        write(ops[0], result)
-    elif m == "shift":
-        amount = read_s(ops[1])
-        value = read(ops[0])
-        if amount >= 16 or amount <= -16:
-            result = 0
-        elif amount >= 0:
-            result = value << amount
-        else:
-            result = value >> (-amount)
-        write(ops[0], result)
-    elif m == "slt":
-        write(ops[0], 1 if read_s(ops[0]) < read_s(ops[1]) else 0)
-    elif m == "store":
-        addr = read(ops[1])
-        fence = machine.trap_policy.mem_fence
-        if fence is not None and addr >= fence:
-            machine.trap(
-                TrapCause.MEM_FAULT,
-                detail=f"store to {addr:#06x} beyond fence {fence:#06x}",
-                instruction=instr.render(),
-                resume_pc=pc_next,
-            )
-        machine.write_mem(addr, read(ops[0]))
-        eff.store_addr = addr
-    elif m == "sys":
-        if syscalls is not None:
-            syscalls.handle(machine)
-        else:
-            machine.halted = True
-    elif m == "xor":
-        write(ops[0], read(ops[0]) ^ read(ops[1]))
-    # ---- Qat coprocessor (Table 3, via the pluggable substrate) -------------
-    elif m in ("qand", "qor", "qxor"):
-        machine.qat.binary(m[1:], ops[0], ops[1], ops[2])
-    elif m == "qccnot":
-        machine.qat.ccnot(ops[0], ops[1], ops[2])
-    elif m == "qcnot":
-        machine.qat.cnot(ops[0], ops[1])
-    elif m == "qcswap":
-        machine.qat.cswap(ops[0], ops[1], ops[2])
-    elif m == "qswap":
-        machine.qat.swap(ops[0], ops[1])
-    elif m == "qnot":
-        machine.qat.invert(ops[0])
-    elif m == "qzero":
-        machine.qat.zero(ops[0])
-    elif m == "qone":
-        machine.qat.one(ops[0])
-    elif m == "qhad":
-        if machine.trap_policy.strict_qat and ops[1] >= machine.ways:
-            machine.trap(
-                TrapCause.QAT_FAULT,
-                detail=f"had k={ops[1]} exceeds {machine.ways}-way entanglement",
-                instruction=instr.render(),
-                resume_pc=pc_next,
-            )
-        machine.qat.had(ops[0], ops[1])
-    elif m in ("qmeas", "qnext", "qpop"):
-        channel = read(ops[0])
-        if machine.trap_policy.strict_qat and channel >= machine.nbits:
-            machine.trap(
-                TrapCause.QAT_FAULT,
-                detail=f"channel {channel} out of range for "
-                       f"{machine.nbits}-channel AoB",
-                instruction=instr.render(),
-                resume_pc=pc_next,
-            )
-        if m == "qmeas":
-            write(ops[0], machine.qat.meas(ops[1], channel))
-        elif m == "qnext":
-            # Like the Figure 8 Verilog, a start channel past the AoB top
-            # shifts everything out and returns 0 (no masking of $d).
-            write(ops[0], machine.qat.next(ops[1], channel))
-        else:
-            # A pop count of 2^16 or more cannot be represented in $d;
-            # saturate rather than wrap (a full 16-way-plus register must
-            # not read back as empty).
-            value = machine.qat.pop_after(ops[1], channel)
-            if value > 0xFFFF:
-                if machine.trap_policy.strict_qat:
-                    machine.trap(
-                        TrapCause.QAT_FAULT,
-                        detail=f"pop after channel {channel} counted {value} "
-                               f"ones, exceeding the 16-bit destination",
-                        instruction=instr.render(),
-                        resume_pc=pc_next,
-                    )
-                value = 0xFFFF
-            write(ops[0], value)
-    else:  # pragma: no cover
-        machine.trap(
-            TrapCause.ILLEGAL_OPCODE,
-            detail=f"no executor for {m!r}",
-            instruction=instr.render(),
-            resume_pc=pc_next,
-        )
-
-    eff.next_pc = pc_next
-    machine.pc = pc_next
-    machine.instret += 1
-    if _fr.enabled:
-        _fr.note_retire(_fr_pc, _fr_raw)
-    if _t0 and _obs.active:
-        _obs.current().qat_executed(m, _t0)
-    return eff
-
-
 # ---------------------------------------------------------------------------
 # Fast-path handler dispatch table
 # ---------------------------------------------------------------------------
 #
-# One handler per mnemonic, selected once at predecode time
-# (:mod:`repro.cpu.fastpath`) instead of walking the mnemonic chain above
-# on every step.  Handlers are only ever called with telemetry inactive
-# and no trace attached, so they carry none of the observability hooks;
-# everything architectural -- register/memory/Qat semantics, trap causes,
-# trap detail strings, PC arithmetic -- must match :func:`execute`
-# exactly.  The randomized differential suite (tests/test_fastpath.py)
-# asserts that equivalence on all three simulators and both Qat
-# substrates.
+# One handler per mnemonic: the only scalar copy of the instruction
+# semantics.  The fast loop (:mod:`repro.cpu.fastpath`) selects a handler
+# once per predecoded word and calls it bare; :func:`execute` calls the
+# same handler and adds the observability hooks around it.  Everything
+# architectural -- register/memory/Qat semantics, trap causes, trap
+# detail strings, PC arithmetic -- lives here.  The batched simulator
+# keeps its own vectorized copy (:mod:`repro.cpu.batch`), held equal by
+# the differential suites.
 #
 # Signature: ``handler(machine, instr, ops, pc_next, syscalls) -> next_pc``.
-# The caller (the fast run loop) owns ``machine.pc = next_pc`` and the
-# ``instret`` increment, mirroring the tail of :func:`execute`.
+# The caller owns ``machine.pc = next_pc`` and the ``instret`` increment.
 
 def _fast_add(machine, instr, ops, pc_next, syscalls):
     regs = machine.regs
@@ -781,6 +537,63 @@ FAST_HANDLERS = {
 }
 
 assert set(FAST_HANDLERS) == set(INSTRUCTIONS), "fast dispatch table out of sync"
+
+
+def execute(machine, instr: Instr, syscalls=None) -> Effects:
+    """Execute ``instr`` on ``machine`` (PC already points at it).
+
+    The observed single step: runs the instruction's
+    :data:`FAST_HANDLERS` entry and wraps it with what the stripped
+    loops leave out -- the dynamic :class:`Effects` timing models
+    consume, the ``cpu.syscalls`` counter and Qat op timing under
+    telemetry, and the flight recorder's retire event.  Advances the PC
+    and ``instret``.
+    """
+    m = instr.mnemonic
+    handler = FAST_HANDLERS.get(m)
+    if handler is None:
+        machine.trap(
+            TrapCause.ILLEGAL_OPCODE,
+            detail=f"no executor for {m!r}",
+            instruction=m,
+        )
+    words = INSTRUCTIONS[m].words
+    pc = machine.pc
+    stat = static_effects(instr)
+    ops = instr.ops
+    regs = machine.regs
+    # Taken-ness is the branch condition, read before the handler runs:
+    # a taken branch redirects fetch even when its target is the
+    # fallthrough address (zero offset, or ``jumpr`` to the next word).
+    if stat.is_branch:
+        taken = (int(regs[ops[0]]) != 0) == (m == "brt")
+    else:
+        taken = stat.is_jump
+    store_addr = int(regs[ops[1]]) if stat.is_store else None
+
+    # Flight recorder: capture the raw word(s) *before* execution so a
+    # store over its own encoding still records what actually ran.
+    fr = _flight.RECORDER
+    if fr.enabled:
+        raw = (int(machine.mem[pc]),) if words == 1 else (
+            int(machine.mem[pc]), int(machine.mem[(pc + 1) & 0xFFFF]))
+    t0 = 0
+    if _obs.active:
+        if m[0] == "q":
+            t0 = _time.perf_counter_ns()
+        elif m == "sys":
+            _obs.current().metrics.counter("cpu.syscalls").inc()
+
+    next_pc = handler(machine, instr, ops, (pc + words) & 0xFFFF, syscalls)
+    machine.pc = next_pc
+    machine.instret += 1
+    if fr.enabled:
+        fr.note_retire(pc, raw)
+    if t0 and _obs.active:
+        _obs.current().qat_executed(m, t0)
+    return Effects(m, next_pc, taken, stat.reads_gpr, stat.writes_gpr,
+                   stat.reads_qreg, stat.writes_qreg, stat.is_load,
+                   stat.is_store, store_addr)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Fast-path execution engine: predecode cache + stripped hot loops.
+"""Fast-path execution engine: predecode cache + stripped hot loop.
 
-The slow path re-decodes every instruction word at every step and pays
+The per-step path re-decodes every instruction word at every step and pays
 telemetry/trace/checkpoint dispatch on every loop iteration even when no
 observer is attached.  This module removes that overhead without
 changing a single architectural outcome:
@@ -14,33 +14,41 @@ changing a single architectural outcome:
   precisely (``MachineState.write_mem`` drops the entry at the written
   address plus a two-word entry starting one word earlier), so
   self-modifying code simply re-decodes the rewritten words.
-- **Stripped run loops** (:func:`run_functional`, :func:`run_multicycle`):
-  no span enter/exit, no per-step ``Effects`` allocation, locals-bound
-  state, and handler dispatch through the predecoded table instead of
-  per-step mnemonic branching.
+- **Stripped run loop** (:func:`run`): one loop for the functional and
+  multi-cycle simulators -- a per-mnemonic cost table charges the
+  multi-cycle clock, the functional sim has none.  No span enter/exit,
+  no per-step ``Effects`` allocation, locals-bound state, and handler
+  dispatch through the predecoded table.  A ``stop`` step bound lets a
+  caller regain control between steps and resume.
 - **Selection** (:func:`eligible`): the fast loop is only taken when
   telemetry capture, tracing, auto-checkpointing, and profiling are all
-  inactive; any observer keeps the byte-identical slow path.  Set
+  inactive; any observer keeps the byte-identical per-step path.  Set
   ``REPRO_FASTPATH=0`` in the environment (or ``sim.use_fastpath =
-  False``) to force the slow path; ``sim.use_fastpath = True`` forces
-  the fast loop even when an observer is attached (testing only -- the
-  observer is then bypassed).  The flight recorder
+  False``) to force the per-step path; ``sim.use_fastpath = True``
+  forces the fast loop even when an observer is attached (testing only
+  -- the observer is then bypassed).  The flight recorder
   (:mod:`repro.obs.flight`) is *not* an observer in this sense: its
   retire append is cheap enough to stay inside the fast loop, so it
-  never costs eligibility.
+  never costs eligibility.  Fault campaigns
+  (:func:`repro.faults.campaign._drive`) select the same way: they run
+  fast segments between fault events and apply each event at its
+  ``stop``; observed runs and the pipelined sim (whose ``latch`` events
+  hit in-flight stages) keep the per-step drive.
 
-Trap behaviour is identical to the slow path by construction: handlers
-raise through the same :func:`repro.faults.traps.deliver` machinery with
-the same causes and detail strings, and the differential suite
-(``tests/test_fastpath.py``) checks final state digests and trap records
-against the slow path on random programs.
+Trap behaviour is identical to the per-step path by construction: both
+call the same handlers (:func:`repro.cpu.exec_core.execute` wraps them
+with the observer hooks), which raise through
+:func:`repro.faults.traps.deliver` with the same causes and detail
+strings.  The differential suite (``tests/test_fastpath.py``) checks
+final state digests and trap records on random programs anyway.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 
-from repro.cpu.exec_core import FAST_HANDLERS, static_effects
+from repro.cpu.exec_core import FAST_HANDLERS, TRAP_MNEMONIC, static_effects
 from repro.errors import EncodingError
 from repro.faults.traps import TrapCause, TrapDelivered
 from repro.isa.encoding import decode
@@ -180,15 +188,37 @@ def eligible(sim) -> bool:
     return True
 
 
-def run_functional(sim, max_steps: int) -> int:
-    """Stripped equivalent of ``FunctionalSimulator.run``.
+@functools.lru_cache(maxsize=None)
+def cost_table(costs) -> dict:
+    """``mnemonic -> cycles`` for a multi-cycle ``CycleCosts``, plus the
+    exception-entry charge of a trapped step under :data:`TRAP_MNEMONIC`."""
+    table = {m: costs.cycles_for(m) for m in FAST_HANDLERS}
+    table[TRAP_MNEMONIC] = costs.cycles_for(TRAP_MNEMONIC)
+    return table
 
-    Same contract: runs to halt, fires the ``watchdog`` trap when the
-    step budget is exhausted, returns the number of steps (trapped
-    instructions included).
+
+def run(sim, max_steps: int, steps: int = 0, stop: int | None = None,
+        watchdog: str | None = None) -> int:
+    """Stripped equivalent of stepping ``sim`` to halt; returns the step count.
+
+    Serves the functional and multi-cycle simulators: a sim with a
+    ``costs`` table (multi-cycle) is charged its cycles in ``sim.cycles``
+    after every step -- not batched, because trap records read the clock
+    through ``machine.cycle_provider`` at delivery time and a trapping
+    instruction is charged only *after* delivery.  Steps count trapped
+    instructions too.
+
+    ``steps`` resumes a count from an earlier segment.  ``stop`` returns
+    before executing step ``stop``, so a caller can act between steps
+    (fault campaigns apply their events there) and call again.  Step
+    ``max_steps`` fires the ``watchdog`` trap instead, with detail
+    ``watchdog`` (default: the simulators' own wording).
     """
     machine = sim.machine
     syscalls = sim.syscalls
+    costs = getattr(sim, "costs", None)
+    cost_of = cost_table(costs) if costs is not None else None
+    limit = max_steps if stop is None else min(stop, max_steps)
     mem = machine.mem
     cache = cache_for(machine)
     entries = cache.entries if cache is not None else None
@@ -199,14 +229,13 @@ def run_functional(sim, max_steps: int) -> int:
     recorder = _flight.RECORDER
     fr_append = recorder.events.append if recorder.enabled else None
     fr_room = recorder.limit - len(recorder.events)
-    steps = 0
     while not machine.halted:
-        if steps >= max_steps:
+        if steps >= limit:
+            if steps < max_steps:
+                return steps  # reached ``stop``
             try:
-                machine.trap(
-                    TrapCause.WATCHDOG,
-                    detail=f"exceeded {max_steps} steps without halting",
-                )
+                machine.trap(TrapCause.WATCHDOG, detail=watchdog or
+                             f"exceeded {max_steps} steps without halting")
             except TrapDelivered:
                 break
         pc = machine.pc
@@ -217,16 +246,14 @@ def run_functional(sim, max_steps: int) -> int:
         else:
             entry = _predecode(mem, pc)
         handler = entry.handler
-        if handler is None:
-            try:
-                machine.trap(TrapCause.ILLEGAL_OPCODE, detail=entry.error)
-            except TrapDelivered:
-                steps += 1
-                continue
         try:
+            if handler is None:
+                machine.trap(TrapCause.ILLEGAL_OPCODE, detail=entry.error)
             machine.pc = handler(machine, entry.instr, entry.ops,
                                  (pc + entry.words) & 0xFFFF, syscalls)
             machine.instret += 1
+            if cost_of is not None:
+                sim.cycles += cost_of[entry.mnemonic]
             if fr_append is not None:
                 fr_append((0, pc, entry.raw))
                 fr_room -= 1
@@ -234,67 +261,8 @@ def run_functional(sim, max_steps: int) -> int:
                     recorder._trim()
                     fr_room = recorder.limit - len(recorder.events)
         except TrapDelivered:
-            pass  # deliver() already redirected/halted the machine
+            # deliver() already redirected/halted the machine
+            if cost_of is not None:
+                sim.cycles += cost_of[TRAP_MNEMONIC]
         steps += 1
     return steps
-
-
-def run_multicycle(sim, max_steps: int) -> int:
-    """Stripped equivalent of ``MultiCycleSimulator.run``.
-
-    Returns total cycles.  ``sim.cycles`` is brought up to date after
-    every step (not batched) because trap records read it through
-    ``machine.cycle_provider`` at delivery time, and the slow path
-    charges the trapping instruction only *after* delivery.
-    """
-    machine = sim.machine
-    syscalls = sim._inner.syscalls
-    costs = sim.costs
-    cost_of = {m: costs.cycles_for(m) for m in FAST_HANDLERS}
-    trap_cost = costs.sys  # synthetic "trap" effects charge exception entry
-    mem = machine.mem
-    cache = cache_for(machine)
-    entries = cache.entries if cache is not None else None
-    recorder = _flight.RECORDER
-    fr_append = recorder.events.append if recorder.enabled else None
-    fr_room = recorder.limit - len(recorder.events)
-    steps = 0
-    while not machine.halted:
-        if steps >= max_steps:
-            try:
-                machine.trap(
-                    TrapCause.WATCHDOG,
-                    detail=f"exceeded {max_steps} steps without halting",
-                )
-            except TrapDelivered:
-                break
-        pc = machine.pc
-        if entries is not None:
-            entry = entries.get(pc)
-            if entry is None:
-                entry = entries[pc] = _predecode(mem, pc)
-        else:
-            entry = _predecode(mem, pc)
-        handler = entry.handler
-        if handler is None:
-            try:
-                machine.trap(TrapCause.ILLEGAL_OPCODE, detail=entry.error)
-            except TrapDelivered:
-                sim.cycles += trap_cost
-                steps += 1
-                continue
-        try:
-            machine.pc = handler(machine, entry.instr, entry.ops,
-                                 (pc + entry.words) & 0xFFFF, syscalls)
-            machine.instret += 1
-            sim.cycles += cost_of[entry.mnemonic]
-            if fr_append is not None:
-                fr_append((0, pc, entry.raw))
-                fr_room -= 1
-                if fr_room <= 0:
-                    recorder._trim()
-                    fr_room = recorder.limit - len(recorder.events)
-        except TrapDelivered:
-            sim.cycles += trap_cost
-        steps += 1
-    return sim.cycles

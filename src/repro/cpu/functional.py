@@ -106,7 +106,7 @@ class FunctionalSimulator:
         loop in :mod:`repro.cpu.fastpath` is used instead.
         """
         if _fastpath.eligible(self):
-            return _fastpath.run_functional(self, max_steps)
+            return _fastpath.run(self, max_steps)
         telemetry = _obs.current() if _obs.active else None
         steps = 0
         checkpointer = self.checkpointer

@@ -103,6 +103,10 @@ class MultiCycleSimulator:
         return self._inner.machine
 
     @property
+    def syscalls(self):
+        return self._inner.syscalls
+
+    @property
     def checkpointer(self):
         return self._inner.checkpointer
 
@@ -160,7 +164,8 @@ class MultiCycleSimulator:
         instead, with identical architectural and cycle accounting.
         """
         if _fastpath.eligible(self):
-            return _fastpath.run_multicycle(self, max_steps)
+            _fastpath.run(self, max_steps)
+            return self.cycles
         steps = 0
         checkpointer = self._inner.checkpointer
         while not self.machine.halted:

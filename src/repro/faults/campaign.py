@@ -27,12 +27,14 @@ that determinism is asserted in CI.  When telemetry
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import dataclass, field
 
+from repro.cpu import fastpath as _fastpath
 from repro.errors import ReproError
 from repro.faults.inject import FaultPlan, apply_event
-from repro.faults.traps import TrapPolicy
+from repro.faults.traps import TrapCause, TrapDelivered, TrapPolicy
 from repro.obs import flight as _flight
 from repro.obs import runtime as _obs
 from repro.runtime.supervisor import chaos_hook
@@ -103,32 +105,55 @@ def _architectural_result(machine) -> tuple:
     return (tuple(int(r) for r in machine.regs), tuple(machine.output))
 
 
+def _step_until(sim, max_steps: int, steps: int, stop: int | None,
+                watchdog: str) -> int:
+    """Per-step twin of :func:`repro.cpu.fastpath.run` (same contract),
+    driving ``sim.step()`` so observers see every step and pipeline
+    latches stay addressable."""
+    machine = sim.machine
+    while not machine.halted:
+        if steps >= max_steps:
+            try:
+                machine.trap(TrapCause.WATCHDOG, detail=watchdog)
+            except TrapDelivered:
+                break
+        if steps == stop:
+            break
+        sim.step()
+        steps += 1
+    return steps
+
+
 def _drive(sim, plan: FaultPlan | None, max_steps: int) -> int:
-    """Step ``sim`` to halt, applying due fault events between steps.
+    """Run ``sim`` to halt, applying each fault event before its step.
+
+    The run is cut into segments at the event steps of the (sorted)
+    plan.  The functional and multi-cycle sims run each segment on the
+    predecoded fast loop (:func:`repro.cpu.fastpath.run`) whenever
+    :func:`~repro.cpu.fastpath.eligible` allows; the pipelined sim,
+    whose ``latch`` events hit in-flight stages, and observed runs
+    (telemetry, trace, profiler) keep the per-step drive.  Both give
+    byte-identical reports.
 
     Returns the number of steps executed (the fan-out progress layer
     turns it into a steps/sec heartbeat)."""
     from repro.cpu import PipelinedSimulator
 
     pipeline = sim if isinstance(sim, PipelinedSimulator) else None
+    segment = _fastpath.run if pipeline is None and _fastpath.eligible(sim) \
+        else _step_until
+    watchdog = f"campaign watchdog: exceeded {max_steps} steps"
+    events = plan.events if plan is not None else ()
+    due = 0
     step = 0
-    while not sim.machine.halted:
-        if step >= max_steps:
-            from repro.faults.traps import TrapCause, TrapDelivered
-
-            try:
-                sim.machine.trap(
-                    TrapCause.WATCHDOG,
-                    detail=f"campaign watchdog: exceeded {max_steps} steps",
-                )
-            except TrapDelivered:
-                break
-        if plan is not None:
-            for event in plan.due(step):
-                apply_event(sim.machine, event, pipeline=pipeline)
-        sim.step()
-        step += 1
-    return step
+    while True:
+        stop = events[due].step if due < len(events) else None
+        step = segment(sim, max_steps, step, stop, watchdog)
+        if step != stop or step >= max_steps or sim.machine.halted:
+            return step  # halted, watchdog fired, or no events left
+        while due < len(events) and events[due].step == step:
+            apply_event(sim.machine, events[due], pipeline=pipeline)
+            due += 1
 
 
 def golden_run(program, sim: str = "functional", ways: int = 8,
@@ -136,10 +161,7 @@ def golden_run(program, sim: str = "functional", ways: int = 8,
     """Fault-free reference execution: (architectural result, steps)."""
     reference = _new_simulator(sim, ways, None, qat_backend=qat_backend)
     reference.load(program)
-    steps = 0
-    while not reference.machine.halted:
-        reference.step()
-        steps += 1
+    steps = _drive(reference, None, sys.maxsize)
     return _architectural_result(reference.machine), steps
 
 

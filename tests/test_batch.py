@@ -39,6 +39,8 @@ def _serial_run(words, plan, *, ways, backend, max_steps):
     sim.use_fastpath = False  # step() loop so events land between steps
     sim.load(list(words))
     error = None
+    events = plan.events if plan is not None else ()
+    due = 0
     step = 0
     try:
         while not sim.machine.halted:
@@ -51,9 +53,9 @@ def _serial_run(words, plan, *, ways, backend, max_steps):
                 except TrapDelivered:
                     pass
                 break
-            if plan is not None:
-                for event in plan.due(step):
-                    apply_event(sim.machine, event)
+            while due < len(events) and events[due].step == step:
+                apply_event(sim.machine, events[due])
+                due += 1
             sim.step()
             step += 1
     except SimulatorError as exc:

@@ -117,6 +117,22 @@ class TestControlHazards:
         assert taken.stats.retired == base.stats.retired
         assert taken.stats.cycles == base.stats.cycles + 2
 
+    def test_zero_offset_taken_brf_still_flushes(self):
+        """Taken-ness comes from the condition, not from the target PC."""
+        base = run_pipeline("lex $0, 0\nlex $1, 1\nlex $2, 1")
+        taken = run_pipeline("lex $0, 0\nbrf $0, skip\nskip:\nlex $2, 1")
+        assert taken.stats.branch_flushes == 1
+        assert taken.stats.retired == base.stats.retired
+        assert taken.stats.cycles == base.stats.cycles + 2
+
+    def test_jumpr_to_fallthrough_still_flushes(self):
+        """``jumpr`` is always taken, even onto its own fallthrough."""
+        base = run_pipeline("loadi $3, next\ncopy $4, $3\nnext:\nlex $2, 1")
+        taken = run_pipeline("loadi $3, next\njumpr $3\nnext:\nlex $2, 1")
+        assert taken.stats.branch_flushes == 1
+        assert taken.stats.retired == base.stats.retired
+        assert taken.stats.cycles == base.stats.cycles + 2
+
     def test_untaken_branch_no_penalty(self):
         sim = run_pipeline("lex $0, 0\nbrt $0, skip\nlex $1, 1\nskip:\nlex $2, 1")
         assert sim.stats.branch_flushes == 0
