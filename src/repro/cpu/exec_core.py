@@ -44,18 +44,12 @@ _BF16_EXP_MASK = 0x7F80
 
 @dataclass
 class Effects:
-    """What one executed instruction did (consumed by timing models)."""
+    """What one executed instruction did (consumed by timing models and
+    traces; register use is :func:`static_effects`)."""
 
     mnemonic: str
     next_pc: int
     taken_branch: bool = False
-    reads_gpr: frozenset[int] = frozenset()
-    writes_gpr: frozenset[int] = frozenset()
-    reads_qreg: frozenset[int] = frozenset()
-    writes_qreg: frozenset[int] = frozenset()
-    is_load: bool = False
-    is_store: bool = False
-    store_addr: int | None = None
 
 
 @dataclass(frozen=True)
@@ -559,17 +553,14 @@ def execute(machine, instr: Instr, syscalls=None) -> Effects:
         )
     words = INSTRUCTIONS[m].words
     pc = machine.pc
-    stat = static_effects(instr)
     ops = instr.ops
-    regs = machine.regs
     # Taken-ness is the branch condition, read before the handler runs:
     # a taken branch redirects fetch even when its target is the
     # fallthrough address (zero offset, or ``jumpr`` to the next word).
-    if stat.is_branch:
-        taken = (int(regs[ops[0]]) != 0) == (m == "brt")
+    if m == "brt" or m == "brf":
+        taken = (int(machine.regs[ops[0]]) != 0) == (m == "brt")
     else:
-        taken = stat.is_jump
-    store_addr = int(regs[ops[1]]) if stat.is_store else None
+        taken = m == "jumpr"
 
     # Flight recorder: capture the raw word(s) *before* execution so a
     # store over its own encoding still records what actually ran.
@@ -591,9 +582,7 @@ def execute(machine, instr: Instr, syscalls=None) -> Effects:
         fr.note_retire(pc, raw)
     if t0 and _obs.active:
         _obs.current().qat_executed(m, t0)
-    return Effects(m, next_pc, taken, stat.reads_gpr, stat.writes_gpr,
-                   stat.reads_qreg, stat.writes_qreg, stat.is_load,
-                   stat.is_store, store_addr)
+    return Effects(m, next_pc, taken)
 
 
 # ---------------------------------------------------------------------------

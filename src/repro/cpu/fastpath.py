@@ -20,20 +20,19 @@ changing a single architectural outcome:
   no per-step ``Effects`` allocation, locals-bound state, and handler
   dispatch through the predecoded table.  A ``stop`` step bound lets a
   caller regain control between steps and resume.
-- **Selection** (:func:`eligible`): the fast loop is only taken when
-  telemetry capture, tracing, auto-checkpointing, and profiling are all
-  inactive; any observer keeps the byte-identical per-step path.  Set
-  ``REPRO_FASTPATH=0`` in the environment (or ``sim.use_fastpath =
-  False``) to force the per-step path; ``sim.use_fastpath = True``
-  forces the fast loop even when an observer is attached (testing only
-  -- the observer is then bypassed).  The flight recorder
+- **One drive** (:func:`drive`): picks :func:`run` or its per-step
+  twin :func:`run_stepped` (same arguments, same step count, calls
+  ``sim.step()`` and ticks an attached auto-checkpointer) by one
+  :func:`eligible` check.  Both simulators' ``run()`` and the fault
+  campaigns' segment drive (:func:`repro.faults.campaign._drive`) go
+  through it; campaigns apply each fault event at a ``stop``.  The
+  fast loop is only taken when telemetry capture, tracing,
+  auto-checkpointing, and profiling are all inactive; any observer
+  keeps the byte-identical per-step path.  Set ``REPRO_FASTPATH=0`` in
+  the environment to force the per-step path.  The flight recorder
   (:mod:`repro.obs.flight`) is *not* an observer in this sense: its
   retire append is cheap enough to stay inside the fast loop, so it
-  never costs eligibility.  Fault campaigns
-  (:func:`repro.faults.campaign._drive`) select the same way: they run
-  fast segments between fault events and apply each event at its
-  ``stop``; observed runs and the pipelined sim (whose ``latch`` events
-  hit in-flight stages) keep the per-step drive.
+  never costs eligibility.
 
 Trap behaviour is identical to the per-step path by construction: both
 call the same handlers (:func:`repro.cpu.exec_core.execute` wraps them
@@ -164,28 +163,57 @@ def cache_for(machine) -> PredecodeCache | None:
 
 
 def eligible(sim) -> bool:
-    """Should ``sim.run()`` take the stripped fast loop right now?
+    """Should ``sim`` take the stripped fast loop right now?
 
-    ``sim.use_fastpath`` (True/False) overrides everything; otherwise
-    the fast loop requires the module switch on and *no* observer --
-    telemetry capture, an execution trace, an auto-checkpointer, or a
-    profiler -- attached to the simulator (or, for the multi-cycle
-    model, its inner functional simulator).
+    Requires the module switch on and *no* observer -- telemetry
+    capture, an execution trace, an auto-checkpointer, or a profiler --
+    attached to the simulator.
     """
-    forced = getattr(sim, "use_fastpath", None)
-    if forced is not None:
-        return bool(forced)
-    if not ENABLED or _obs.active:
-        return False
-    inner = getattr(sim, "_inner", None)
-    for owner in (sim,) if inner is None else (sim, inner):
-        if getattr(owner, "trace", None) is not None:
-            return False
-        if getattr(owner, "checkpointer", None) is not None:
-            return False
-        if getattr(owner, "profiler", None) is not None:
-            return False
-    return True
+    return (ENABLED and not _obs.active
+            and getattr(sim, "trace", None) is None
+            and getattr(sim, "checkpointer", None) is None
+            and getattr(sim, "profiler", None) is None)
+
+
+def drive(sim, max_steps: int, steps: int = 0, stop: int | None = None,
+          watchdog: str | None = None) -> int:
+    """Step ``sim`` toward halt on :func:`run` when :func:`eligible`,
+    else on :func:`run_stepped`; returns the step count."""
+    segment = run if eligible(sim) else run_stepped
+    return segment(sim, max_steps, steps, stop, watchdog)
+
+
+def _watchdog(machine, max_steps: int, watchdog: str | None) -> None:
+    """Fire the step-budget trap (default detail: the simulators' wording)."""
+    machine.trap(TrapCause.WATCHDOG, detail=watchdog or
+                 f"exceeded {max_steps} steps without halting")
+
+
+def run_stepped(sim, max_steps: int, steps: int = 0, stop: int | None = None,
+                watchdog: str | None = None) -> int:
+    """Per-step twin of :func:`run` (same contract), driving ``sim.step()``
+    so observers see every step and pipeline latches stay addressable.
+
+    An attached auto-checkpointer ticks after every step, with the
+    timing model's clock (``machine.cycle_provider``) when there is one.
+    """
+    machine = sim.machine
+    checkpointer = getattr(sim, "checkpointer", None)
+    clock = machine.cycle_provider
+    while not machine.halted:
+        if steps >= max_steps:
+            try:
+                _watchdog(machine, max_steps, watchdog)
+            except TrapDelivered:
+                break
+        if steps == stop:
+            break
+        sim.step()
+        steps += 1
+        if checkpointer is not None:
+            checkpointer.tick(machine,
+                              cycle=clock() if clock is not None else None)
+    return steps
 
 
 @functools.lru_cache(maxsize=None)
@@ -234,8 +262,7 @@ def run(sim, max_steps: int, steps: int = 0, stop: int | None = None,
             if steps < max_steps:
                 return steps  # reached ``stop``
             try:
-                machine.trap(TrapCause.WATCHDOG, detail=watchdog or
-                             f"exceeded {max_steps} steps without halting")
+                _watchdog(machine, max_steps, watchdog)
             except TrapDelivered:
                 break
         pc = machine.pc

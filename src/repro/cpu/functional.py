@@ -25,15 +25,10 @@ from repro.faults.traps import TrapCause, TrapDelivered, TrapPolicy
 from repro.isa.encoding import decode
 from repro.isa.instructions import Instr
 from repro.obs import runtime as _obs
-from repro.obs.spans import NULL_SPAN
 
 
 class FunctionalSimulator:
     """Executes a program image one instruction at a time."""
-
-    #: Fast-path override: ``None`` auto-selects (fast loop when no
-    #: observer is attached), ``False``/``True`` force slow/fast.
-    use_fastpath: bool | None = None
 
     def __init__(
         self,
@@ -102,29 +97,13 @@ class FunctionalSimulator:
         :class:`~repro.faults.checkpoint.AutoCheckpointer` snapshots the
         machine periodically so a watchdog expiry is recoverable.
 
-        With no observer attached the architecturally identical stripped
-        loop in :mod:`repro.cpu.fastpath` is used instead.
+        Steps go through :func:`repro.cpu.fastpath.drive`: the stripped
+        loop with no observer attached, ``step()`` one at a time otherwise.
         """
-        if _fastpath.eligible(self):
-            return _fastpath.run(self, max_steps)
         telemetry = _obs.current() if _obs.active else None
-        steps = 0
-        checkpointer = self.checkpointer
-        with (telemetry.span("cpu.run", cat="cpu", sim="functional")
-              if telemetry is not None else NULL_SPAN):
-            while not self.machine.halted:
-                if steps >= max_steps:
-                    try:
-                        self.machine.trap(
-                            TrapCause.WATCHDOG,
-                            detail=f"exceeded {max_steps} steps without halting",
-                        )
-                    except TrapDelivered:
-                        break
-                self.step()
-                steps += 1
-                if checkpointer is not None:
-                    checkpointer.tick(self.machine)
-        if telemetry is not None:
-            telemetry.metrics.counter("cpu.instructions").add(steps)
+        if telemetry is None:
+            return _fastpath.drive(self, max_steps)
+        with telemetry.span("cpu.run", cat="cpu", sim="functional"):
+            steps = _fastpath.drive(self, max_steps)
+        telemetry.metrics.counter("cpu.instructions").add(steps)
         return steps

@@ -19,8 +19,9 @@ from repro.aob.bitvector import QAT_WAYS
 from repro.cpu import fastpath as _fastpath
 from repro.cpu.functional import FunctionalSimulator
 from repro.cpu.syscalls import SyscallHandler
-from repro.errors import HaltedError, SimulatorError
-from repro.faults.traps import TrapCause, TrapDelivered, TrapPolicy
+from repro.errors import EncodingError, HaltedError
+from repro.faults.traps import TrapPolicy
+from repro.isa.encoding import decode
 from repro.isa.instructions import INSTRUCTIONS
 
 
@@ -72,12 +73,8 @@ class CycleCosts:
         return parts
 
 
-class MultiCycleSimulator:
+class MultiCycleSimulator(FunctionalSimulator):
     """Functional execution plus a per-instruction cycle charge."""
-
-    #: Fast-path override: ``None`` auto-selects (fast loop when no
-    #: observer is attached), ``False``/``True`` force slow/fast.
-    use_fastpath: bool | None = None
 
     def __init__(
         self,
@@ -87,36 +84,18 @@ class MultiCycleSimulator:
         trap_policy: TrapPolicy | None = None,
         qat_backend="dense",
     ):
+        super().__init__(ways=ways, syscalls=syscalls,
+                         trap_policy=trap_policy, qat_backend=qat_backend)
         self.costs = costs or CycleCosts()
         self.cycles = 0
-        self._inner = FunctionalSimulator(
-            ways=ways, syscalls=syscalls, trap_policy=trap_policy,
-            qat_backend=qat_backend,
-        )
         self.machine.cycle_provider = lambda: self.cycles
         #: optional :class:`repro.obs.profile.Profiler`; every cycle
         #: charged by :meth:`step` is attributed to a PC and reason.
         self.profiler = None
 
-    @property
-    def machine(self):
-        return self._inner.machine
-
-    @property
-    def syscalls(self):
-        return self._inner.syscalls
-
-    @property
-    def checkpointer(self):
-        return self._inner.checkpointer
-
-    @checkpointer.setter
-    def checkpointer(self, value) -> None:
-        self._inner.checkpointer = value
-
     def load(self, program, origin: int | None = None) -> None:
         """Load an assembled program image."""
-        self._inner.load(program, origin)
+        super().load(program, origin)
         self.cycles = 0
 
     def step(self) -> int:
@@ -129,7 +108,7 @@ class MultiCycleSimulator:
         if prof is not None:
             prof.current_pc = pc
         try:
-            effects = self._inner.step()
+            effects = super().step()
         finally:
             if prof is not None:
                 prof.current_pc = None
@@ -143,9 +122,6 @@ class MultiCycleSimulator:
 
     def _decoded_at(self, pc: int):
         """Best-effort re-decode at ``pc`` for profiler labels."""
-        from repro.errors import EncodingError
-        from repro.isa.encoding import decode
-
         try:
             instr, _ = decode(self.machine.mem, pc)
             return instr
@@ -157,30 +133,11 @@ class MultiCycleSimulator:
 
         A blown step budget fires a ``watchdog`` trap -- a
         :class:`~repro.errors.SimulatorError` under the default policy,
-        a clean stop under ``halt``.
-
-        With no observer attached (no profiler, trace, checkpointer, or
-        telemetry) the stripped loop in :mod:`repro.cpu.fastpath` runs
-        instead, with identical architectural and cycle accounting.
+        a clean stop under ``halt``.  Steps go through
+        :func:`repro.cpu.fastpath.drive`, like the functional sim's, with
+        identical architectural and cycle accounting on either loop.
         """
-        if _fastpath.eligible(self):
-            _fastpath.run(self, max_steps)
-            return self.cycles
-        steps = 0
-        checkpointer = self._inner.checkpointer
-        while not self.machine.halted:
-            if steps >= max_steps:
-                try:
-                    self.machine.trap(
-                        TrapCause.WATCHDOG,
-                        detail=f"exceeded {max_steps} steps without halting",
-                    )
-                except TrapDelivered:
-                    break
-            self.step()
-            steps += 1
-            if checkpointer is not None:
-                checkpointer.tick(self.machine)
+        _fastpath.drive(self, max_steps)
         return self.cycles
 
     @property

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from repro.cpu import fastpath as _fastpath
 from repro.errors import ReproError
 from repro.faults.inject import FaultPlan, apply_event
-from repro.faults.traps import TrapCause, TrapDelivered, TrapPolicy
+from repro.faults.traps import TrapPolicy
 from repro.obs import flight as _flight
 from repro.obs import runtime as _obs
 from repro.runtime.supervisor import chaos_hook
@@ -105,43 +105,23 @@ def _architectural_result(machine) -> tuple:
     return (tuple(int(r) for r in machine.regs), tuple(machine.output))
 
 
-def _step_until(sim, max_steps: int, steps: int, stop: int | None,
-                watchdog: str) -> int:
-    """Per-step twin of :func:`repro.cpu.fastpath.run` (same contract),
-    driving ``sim.step()`` so observers see every step and pipeline
-    latches stay addressable."""
-    machine = sim.machine
-    while not machine.halted:
-        if steps >= max_steps:
-            try:
-                machine.trap(TrapCause.WATCHDOG, detail=watchdog)
-            except TrapDelivered:
-                break
-        if steps == stop:
-            break
-        sim.step()
-        steps += 1
-    return steps
-
-
 def _drive(sim, plan: FaultPlan | None, max_steps: int) -> int:
     """Run ``sim`` to halt, applying each fault event before its step.
 
     The run is cut into segments at the event steps of the (sorted)
-    plan.  The functional and multi-cycle sims run each segment on the
-    predecoded fast loop (:func:`repro.cpu.fastpath.run`) whenever
-    :func:`~repro.cpu.fastpath.eligible` allows; the pipelined sim,
-    whose ``latch`` events hit in-flight stages, and observed runs
-    (telemetry, trace, profiler) keep the per-step drive.  Both give
-    byte-identical reports.
+    plan.  The functional and multi-cycle sims run each segment through
+    :func:`repro.cpu.fastpath.drive` -- the predecoded fast loop unless
+    an observer (telemetry, trace, profiler) is attached; the pipelined
+    sim, whose ``latch`` events hit in-flight stages, always steps
+    (:func:`~repro.cpu.fastpath.run_stepped`).  Both give byte-identical
+    reports.
 
     Returns the number of steps executed (the fan-out progress layer
     turns it into a steps/sec heartbeat)."""
     from repro.cpu import PipelinedSimulator
 
     pipeline = sim if isinstance(sim, PipelinedSimulator) else None
-    segment = _fastpath.run if pipeline is None and _fastpath.eligible(sim) \
-        else _step_until
+    segment = _fastpath.drive if pipeline is None else _fastpath.run_stepped
     watchdog = f"campaign watchdog: exceeded {max_steps} steps"
     events = plan.events if plan is not None else ()
     due = 0
@@ -169,6 +149,25 @@ def golden_run(program, sim: str = "functional", ways: int = 8,
 #: the program *name*, and loading/assembling it once per worker (not
 #: once per run) keeps the fan-out overhead flat.
 _WORKER_IMAGES: dict[str, object] = {}
+
+
+def _classify(run: int, seed: int, plan: FaultPlan, error: str | None,
+              traps, result: tuple, golden: tuple) -> dict:
+    """RunResult dict of one finished run: an error or a trap record is
+    ``detected``, else the architectural result against the golden run
+    decides ``masked`` or ``silent``.  The serial, ``--jobs`` and
+    ``--batch`` drives all classify here, so their reports match."""
+    if error is not None or traps:
+        outcome = DETECTED
+    elif result == golden:
+        outcome = MASKED
+    else:
+        outcome = SILENT
+    return RunResult(
+        run=run, seed=seed, outcome=outcome,
+        events=[e.as_dict() for e in plan.events],
+        traps=[r.as_dict() for r in traps], error=error,
+    ).as_dict()
 
 
 def _worker_image(program: str):
@@ -231,31 +230,19 @@ def _single_run(task: tuple, attempt: int = 0) -> tuple[int, dict, float, int, i
     )
     subject = _new_simulator(sim, ways, None, qat_backend=qat_backend)
     subject.load(image)
-    result = RunResult(
-        run=run,
-        seed=run_seed,
-        outcome=MASKED,
-        events=[e.as_dict() for e in plan.events],
-    )
     t0 = time.perf_counter()
     steps = 0
+    error = None
     try:
         steps = _drive(subject, plan, watchdog)
     except ReproError as exc:
-        result.outcome = DETECTED
-        result.error = str(exc)
-    else:
-        if subject.machine.traps:
-            result.outcome = DETECTED
-        elif _architectural_result(subject.machine) == golden:
-            result.outcome = MASKED
-        else:
-            result.outcome = SILENT
+        error = str(exc)
+    machine = subject.machine
+    detail = _classify(run, run_seed, plan, error, machine.traps,
+                       _architectural_result(machine), golden)
     from repro.obs.progress import worker_ident
 
-    result.traps = [r.as_dict() for r in subject.machine.traps]
-    return (run, result.as_dict(), time.perf_counter() - t0, steps,
-            worker_ident())
+    return (run, detail, time.perf_counter() - t0, steps, worker_ident())
 
 
 def _batch_pending(pending: list, batch: int, image, settle) -> None:
@@ -266,11 +253,9 @@ def _batch_pending(pending: list, batch: int, image, settle) -> None:
     lane with its own per-run :class:`FaultPlan` (the same
     ``seed * 1_000_003 + run`` derivation as the serial and ``--jobs``
     paths), fault events are injected on the lane's array slices, and
-    classification -- parked-lane error text => ``detected``, trap
-    records => ``detected``, architectural result vs golden =>
-    ``masked``/``silent`` -- matches :func:`_single_run` field for
-    field, so the merged report is byte-identical to the serial
-    campaign.  Wall seconds are apportioned evenly across the chunk's
+    each lane is classified by :func:`_classify` (a parked lane's error
+    text is the serial run's exception), so the merged report is
+    byte-identical to the serial campaign.  Wall seconds are apportioned evenly across the chunk's
     lanes for the progress heartbeats (never part of the report).
     """
     from repro.cpu.batch import BatchFunctionalSimulator
@@ -315,27 +300,17 @@ def _batch_pending(pending: list, batch: int, image, settle) -> None:
         machines = subject.machines
         for lane, task in enumerate(chunk):
             run = task[0]
-            result = RunResult(
-                run=run,
-                seed=seed * 1_000_003 + run,
-                outcome=MASKED,
-                events=[e.as_dict() for e in plans[lane].events],
+            error = machines.errors[lane]
+            detail = _classify(
+                run, seed * 1_000_003 + run, plans[lane], error,
+                machines.traps[lane],
+                (tuple(int(r) for r in machines.regs[lane]),
+                 tuple(machines.output[lane])),
+                golden,
             )
-            steps = int(lane_steps[lane])
-            if machines.errors[lane] is not None:
-                result.outcome = DETECTED
-                result.error = machines.errors[lane]
-                # The serial run's exception path never assigns steps.
-                steps = 0
-            elif machines.traps[lane]:
-                result.outcome = DETECTED
-            elif (tuple(int(r) for r in machines.regs[lane]),
-                  tuple(machines.output[lane])) == golden:
-                result.outcome = MASKED
-            else:
-                result.outcome = SILENT
-            result.traps = [r.as_dict() for r in machines.traps[lane]]
-            settle(run, result.as_dict(), seconds, steps, 1, worker)
+            # The serial run's exception path never assigns steps.
+            steps = 0 if error is not None else int(lane_steps[lane])
+            settle(run, detail, seconds, steps, 1, worker)
 
 
 class CampaignInterrupted(ReproError):

@@ -36,7 +36,6 @@ def _serial_run(words, plan, *, ways, backend, max_steps):
     for a run that died (what the batch engine parks the lane with).
     """
     sim = FunctionalSimulator(ways=ways, qat_backend=backend)
-    sim.use_fastpath = False  # step() loop so events land between steps
     sim.load(list(words))
     error = None
     events = plan.events if plan is not None else ()

@@ -146,6 +146,32 @@ class TestAutoCheckpointer:
         assert sim.checkpointer.taken >= 1
         assert sim.checkpointer.latest.verify()
 
+    def test_checkpoints_carry_the_timing_clock(self):
+        """``Checkpoint.cycle`` is the timing model's clock at capture:
+        the multi-cycle sim supplies it like the pipeline does, the
+        untimed functional sim leaves it ``None``."""
+        from repro.apps import fig10_program
+
+        program = fig10_program()
+        sim = MultiCycleSimulator()
+        sim.load(program)
+        sim.checkpointer = AutoCheckpointer(interval=16, keep=2)
+        sim.run()
+        first, last = sim.checkpointer.checkpoints
+        replay = MultiCycleSimulator()
+        replay.load(program)
+        for _ in range(16 * sim.checkpointer.taken):
+            replay.step()
+        assert last.cycle == replay.cycles
+        assert first.cycle < last.cycle < sim.cycles
+
+        functional = FunctionalSimulator()
+        functional.load(program)
+        functional.checkpointer = AutoCheckpointer(interval=16, keep=2)
+        functional.run()
+        assert [c.cycle for c in functional.checkpointer.checkpoints] == \
+            [None, None]
+
     def test_rejects_bad_config(self):
         with pytest.raises(CheckpointError):
             AutoCheckpointer(interval=0)

@@ -56,7 +56,6 @@ def _run_both(sim_cls, words, *, ways=6, qat_backend="dense",
     for fast in (False, True):
         sim = sim_cls(ways=ways, trap_policy=trap_policy,
                       qat_backend=qat_backend)
-        sim.use_fastpath = fast
         sim.load(list(words))
         if sim_cls is PipelinedSimulator:
             # The pipeline has no separate stripped loop; exercise the
@@ -64,7 +63,11 @@ def _run_both(sim_cls, words, *, ways=6, qat_backend="dense",
             sim.machine.predecode_enabled = fast
             sim.run(max_cycles=max_steps * 10)
         else:
-            sim.run(max_steps=max_steps)
+            # A context, not the monkeypatch fixture: hypothesis rejects
+            # function-scoped fixtures in @given tests.
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fastpath, "ENABLED", fast)
+                sim.run(max_steps=max_steps)
         out.append(sim)
     return out
 
@@ -123,8 +126,6 @@ class TestDifferentialFastVsSlow:
         sim = FunctionalSimulator(ways=6)
         monkeypatch.setattr(fastpath, "ENABLED", False)
         assert not fastpath.eligible(sim)
-        sim.use_fastpath = True  # explicit override beats the switch
-        assert fastpath.eligible(sim)
 
 
 class TestPredecodeCache:

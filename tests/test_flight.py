@@ -144,19 +144,21 @@ def _random_program(rng: random.Random) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _record_events(program, sim_kind: str, backend: str, fast: bool):
+def _record_events(monkeypatch, program, sim_kind: str, backend: str,
+                   fast: bool):
     from repro.cpu import (
         FunctionalSimulator,
         MultiCycleSimulator,
         PipelinedSimulator,
+        fastpath,
     )
 
     cls = {"functional": FunctionalSimulator,
            "multicycle": MultiCycleSimulator,
            "pipelined": PipelinedSimulator}[sim_kind]
     sim = cls(ways=8, qat_backend=backend)  # "re" needs ways >= 6
-    if sim_kind != "pipelined":  # the pipelined model has no fast loop
-        sim.use_fastpath = fast
+    # The pipelined model has no fast loop; the switch is inert there.
+    monkeypatch.setattr(fastpath, "ENABLED", fast)
     sim.load(program)
     flight.RECORDER.reset()
     sim.run()
@@ -166,14 +168,17 @@ def _record_events(program, sim_kind: str, backend: str, fast: bool):
 class TestDifferentialParity:
     @pytest.mark.parametrize("backend", ["dense", "re"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_fast_and_slow_streams_identical_everywhere(self, seed, backend):
+    def test_fast_and_slow_streams_identical_everywhere(self, seed, backend,
+                                                        monkeypatch):
         from repro.asm import assemble
 
         program = assemble(_random_program(random.Random(seed)))
         streams = {}
         for sim_kind in ("functional", "multicycle", "pipelined"):
-            fast = _record_events(program, sim_kind, backend, fast=True)
-            slow = _record_events(program, sim_kind, backend, fast=False)
+            fast = _record_events(monkeypatch, program, sim_kind, backend,
+                                  fast=True)
+            slow = _record_events(monkeypatch, program, sim_kind, backend,
+                                  fast=False)
             assert fast == slow, (
                 f"{sim_kind}/{backend}: fast path recorded a different "
                 f"event stream than the instrumented path"
@@ -183,12 +188,14 @@ class TestDifferentialParity:
         assert streams["functional"] == streams["multicycle"]
         assert streams["functional"] == streams["pipelined"]
 
-    def test_fig10_parity_with_syscall_ordering(self):
+    def test_fig10_parity_with_syscall_ordering(self, monkeypatch):
         from repro.apps.fig10 import fig10_program
 
         program = fig10_program()
-        fast = _record_events(program, "functional", "dense", fast=True)
-        slow = _record_events(program, "functional", "dense", fast=False)
+        fast = _record_events(monkeypatch, program, "functional", "dense",
+                              fast=True)
+        slow = _record_events(monkeypatch, program, "functional", "dense",
+                              fast=False)
         assert fast == slow
         kinds = [event[0] for event in fast]
         assert flight.SYSCALL in kinds

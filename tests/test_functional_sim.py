@@ -21,7 +21,7 @@ class TestLifecycle:
         sim.load(assemble("lex $0, 9\nsys\n"))
         eff = sim.step()
         assert eff.mnemonic == "lex"
-        assert eff.writes_gpr == frozenset({0})
+        assert eff.next_pc == 1
 
     def test_step_after_halt_raises(self):
         sim = FunctionalSimulator(ways=6)
