@@ -68,6 +68,7 @@ from repro.isa.instructions import INSTRUCTIONS
 from repro.isa.registers import NUM_GPRS, NUM_QAT_REGS, RV
 from repro.obs import flight as _flight
 from repro.obs import runtime as _obs
+from repro.pattern import ChunkStore, PatternVector
 from repro.utils.bits import top_mask, words_for_bits
 
 _MEM_WORDS = 1 << 16
@@ -103,6 +104,7 @@ class BatchDenseQat:
                 f"got {ways}; the 're' backend (run-length compressed) "
                 f"supports up to {MAX_RE_WAYS}-way entanglement"
             )
+        self.n = n
         self.ways = ways
         self.nbits = 1 << ways
         self.qregs = np.zeros(
@@ -195,86 +197,165 @@ class BatchDenseQat:
 
 
 class BatchREQat:
-    """Run-length compressed substrate: one private backend per lane.
+    """Run-length compressed substrate: lanes over one shared store.
 
-    The RE substrate's compressed registers have no dense lane axis to
-    vectorize over, so every gate is a per-lane delegation to a real
-    :class:`~repro.cpu.qat_backend.REQatBackend` -- bit-exact with the
-    serial path by construction, just without the SIMD win.
+    Every lane's registers intern into one
+    :class:`~repro.pattern.ChunkStore` -- a fresh one, or ``store``: a
+    fault campaign hands each batch a fork of its golden run's store, so
+    the batch's symbols die with it.  Because the store is shared, equal
+    register values have equal run tuples, and the batch interns each
+    distinct :class:`~repro.pattern.PatternVector` once: the register
+    file is an ``(N, 256)`` matrix of value ids (:attr:`vids`) over one
+    table of immutable vectors.
+
+    Each gate groups its lanes by operand value ids, evaluates the gate
+    once per distinct group on a scratch
+    :class:`~repro.cpu.qat_backend.REQatBackend` (the serial semantics,
+    by construction), and writes the result's id to every lane of the
+    group.  In a fault campaign nearly every lane holds the same
+    operands at every step, so a gate costs one run walk instead of one
+    per lane.  Telemetry still counts one compressed op per lane.
     """
 
     name = "re"
 
-    def __init__(self, n: int, ways: int):
-        self.lanes = [REQatBackend(ways) for _ in range(n)]
+    def __init__(self, n: int, ways: int, store: ChunkStore | None = None):
+        #: evaluates one gate per operand group (registers set per call)
+        self._scratch = REQatBackend(ways, store=store)
+        self.store = self._scratch.store
+        self.n = n
         self.ways = ways
         self.nbits = 1 << ways
+        self._values: list[PatternVector] = []
+        self._ids: dict[tuple, int] = {}
+        zero = self._intern(self._scratch.regs[0])
+        #: value id of every lane's every register
+        self.vids = np.full((n, NUM_QAT_REGS), zero, dtype=np.intp)
+
+    def _intern(self, value: PatternVector) -> int:
+        vid = self._ids.get(value.runs)
+        if vid is None:
+            vid = self._ids[value.runs] = len(self._values)
+            self._values.append(value)
+        return vid
+
+    def vector(self, lane: int, reg: int) -> PatternVector:
+        """The compressed value of lane ``lane``'s register ``reg``."""
+        return self._values[self.vids[lane, reg]]
+
+    def _grouped(self, lanes, operands: tuple, dests: tuple, op: str,
+                 gate) -> None:
+        """Run ``gate(scratch)`` once per distinct operand-value group.
+
+        ``operands`` are the registers the gate reads, ``dests`` the
+        ones it writes (the first of them is what the serial backend's
+        ``qat.re.runs.<op>`` counter measures).
+        """
+        lanes = np.asarray(lanes)
+        vids = self.vids
+        if not operands:
+            groups = [((), lanes)]
+        else:
+            keys = vids[np.ix_(lanes, operands)]
+            if (keys == keys[0]).all():
+                groups = [(keys[0].tolist(), lanes)]
+            else:
+                rows, inverse = np.unique(keys, axis=0, return_inverse=True)
+                inverse = inverse.ravel()
+                groups = [(row.tolist(), lanes[inverse == g])
+                          for g, row in enumerate(rows)]
+        regs = self._scratch.regs
+        values = self._values
+        for row, members in groups:
+            for reg, vid in zip(operands, row):
+                regs[reg] = values[vid]
+            gate(self._scratch)  # counts the group's first lane
+            results = [self._intern(regs[d]) for d in dests]
+            for d, vid in zip(dests, results):
+                vids[members, d] = vid
+            if _obs.active and len(members) > 1:
+                more = len(members) - 1
+                metrics = _obs.current().metrics
+                metrics.counter("qat.re.ops").add(more)
+                metrics.counter(f"qat.re.runs.{op}").add(
+                    more * values[results[0]].num_runs)
 
     def binary(self, op: str, lanes, d: int, a: int, b: int) -> None:
-        for lane in lanes:
-            self.lanes[int(lane)].binary(op, d, a, b)
+        self._grouped(lanes, (a, b), (d,), op,
+                      lambda backend: backend.binary(op, d, a, b))
 
     def ccnot(self, lanes, d: int, b: int, c: int) -> None:
-        for lane in lanes:
-            self.lanes[int(lane)].ccnot(d, b, c)
+        self._grouped(lanes, (d, b, c), (d,), "ccnot",
+                      lambda backend: backend.ccnot(d, b, c))
 
     def cnot(self, lanes, d: int, c: int) -> None:
-        for lane in lanes:
-            self.lanes[int(lane)].cnot(d, c)
+        self._grouped(lanes, (d, c), (d,), "cnot",
+                      lambda backend: backend.cnot(d, c))
 
     def cswap(self, lanes, a: int, b: int, ctrl: int) -> None:
-        for lane in lanes:
-            self.lanes[int(lane)].cswap(a, b, ctrl)
+        self._grouped(lanes, (a, b, ctrl), (a, b), "cswap",
+                      lambda backend: backend.cswap(a, b, ctrl))
 
     def swap(self, lanes, a: int, b: int) -> None:
-        for lane in lanes:
-            self.lanes[int(lane)].swap(a, b)
+        self._grouped(lanes, (a, b), (a, b), "swap",
+                      lambda backend: backend.swap(a, b))
 
     def invert(self, lanes, d: int) -> None:
-        for lane in lanes:
-            self.lanes[int(lane)].invert(d)
+        self._grouped(lanes, (d,), (d,), "not",
+                      lambda backend: backend.invert(d))
 
     def zero(self, lanes, d: int) -> None:
-        for lane in lanes:
-            self.lanes[int(lane)].zero(d)
+        self._grouped(lanes, (), (d,), "zero",
+                      lambda backend: backend.zero(d))
 
     def one(self, lanes, d: int) -> None:
-        for lane in lanes:
-            self.lanes[int(lane)].one(d)
+        self._grouped(lanes, (), (d,), "one",
+                      lambda backend: backend.one(d))
 
     def had(self, lanes, d: int, k: int) -> None:
-        for lane in lanes:
-            self.lanes[int(lane)].had(d, k)
+        self._grouped(lanes, (), (d,), "had",
+                      lambda backend: backend.had(d, k))
+
+    def _probe(self, lanes, reg: int, channels, probe) -> np.ndarray:
+        """Per-lane readout, evaluated once per distinct (value, channel)."""
+        vids = self.vids[np.asarray(lanes), reg].tolist()
+        seen: dict[tuple[int, int], int] = {}
+        out = []
+        for vid, ch in zip(vids, np.asarray(channels).tolist()):
+            result = seen.get((vid, ch))
+            if result is None:
+                result = seen[vid, ch] = probe(self._values[vid], ch)
+            out.append(result)
+        return np.array(out, dtype=np.int64)
 
     def meas(self, lanes, reg: int, channels: np.ndarray) -> np.ndarray:
-        return np.array(
-            [self.lanes[int(lane)].meas(reg, int(ch))
-             for lane, ch in zip(lanes, channels)],
-            dtype=np.int64,
-        )
+        return self._probe(lanes, reg, channels, PatternVector.meas)
 
     def next(self, lanes, reg: int, channels: np.ndarray) -> np.ndarray:
-        return np.array(
-            [self.lanes[int(lane)].next(reg, int(ch))
-             for lane, ch in zip(lanes, channels)],
-            dtype=np.int64,
-        )
+        return self._probe(lanes, reg, channels, PatternVector.next)
 
     def pop_after(self, lanes, reg: int, channels: np.ndarray) -> np.ndarray:
-        return np.array(
-            [self.lanes[int(lane)].pop_after(reg, int(ch))
-             for lane, ch in zip(lanes, channels)],
-            dtype=np.int64,
-        )
+        return self._probe(lanes, reg, channels, PatternVector.pop_after)
 
     def flip_bit(self, lane: int, reg: int, word: int, bit: int) -> None:
-        self.lanes[int(lane)].flip_bit(reg, word, bit)
+        scratch = self._scratch
+        scratch.regs[reg] = self.vector(lane, reg)
+        scratch.flip_bit(reg, word, bit)
+        self.vids[lane, reg] = self._intern(scratch.regs[reg])
 
     def read(self, lane: int, reg: int) -> AoB:
-        return self.lanes[int(lane)].read(reg)
+        return self.vector(lane, reg).to_aob()
 
 
 def _make_batch_qat(spec, n: int, ways: int):
+    """Build the batch substrate ``spec`` names, or check a built one."""
+    if isinstance(spec, (BatchDenseQat, BatchREQat)):
+        if (spec.n, spec.ways) != (n, ways):
+            raise SimulatorError(
+                f"batch Qat substrate is {spec.n} lanes at {spec.ways} "
+                f"ways but the batch wants {n} lanes at {ways} ways"
+            )
+        return spec
     if spec == "dense":
         return BatchDenseQat(n, ways)
     if spec == "re":

@@ -11,7 +11,7 @@ per-machine choice:
   :math:`O(2^{ways})` per register, so it is bounded by
   :data:`~repro.aob.bitvector.MAX_DENSE_WAYS`.
 - :class:`REQatBackend` -- each register is a
-  :class:`~repro.pattern.PatternVector` over one private
+  :class:`~repro.pattern.PatternVector` over one
   :class:`~repro.pattern.ChunkStore`; gates walk runs and memoize
   distinct chunk pairs, so ``had(k)`` and constant registers cost
   O(runs) and entanglement up to :data:`MAX_RE_WAYS` runs in bounded
@@ -196,17 +196,23 @@ _DENSE_BINOPS = {
 
 
 class REQatBackend(QatBackend):
-    """Run-length compressed register file over a private chunk store.
+    """Run-length compressed register file over one chunk store.
 
-    Every register is a :class:`PatternVector`; the store is created per
-    backend (never the process-global default), so two machines -- or
-    two rounds of a benchmark, or two seeds of a fault campaign -- can
-    never leak interned chunks or memo hit counts into each other.
+    Every register is a :class:`PatternVector`.  By default the store is
+    fresh and private to the backend (never the process-global default),
+    so two machines -- or two rounds of ``tangled bench`` -- never share
+    interned chunks or memo hit counts.  ``store`` hands in an existing
+    one instead: a fault campaign gives every run a fork of its golden
+    run's store (:meth:`ChunkStore.fork`), so a run starts with the
+    golden chunks and gate results already interned, and the symbols a
+    run adds die with its fork.  Register values never depend on which
+    store holds them: symbols are hash-consed chunk values.
     """
 
     name = "re"
 
-    def __init__(self, ways: int, chunk_ways: int | None = None):
+    def __init__(self, ways: int, chunk_ways: int | None = None,
+                 store: ChunkStore | None = None):
         if not MIN_RE_WAYS <= ways <= MAX_RE_WAYS:
             raise SimulatorError(
                 f"RE Qat backend supports ways in [{MIN_RE_WAYS}, "
@@ -214,11 +220,19 @@ class REQatBackend(QatBackend):
                 + (f"; the dense backend covers [0, {MAX_DENSE_WAYS}]"
                    if ways < MIN_RE_WAYS else "")
             )
-        if chunk_ways is None:
-            chunk_ways = min(PAPER_CHUNK_WAYS, ways)
+        if store is None:
+            store = ChunkStore(
+                min(PAPER_CHUNK_WAYS, ways) if chunk_ways is None
+                else chunk_ways
+            )
+        elif chunk_ways is not None and chunk_ways != store.chunk_ways:
+            raise SimulatorError(
+                f"chunk_ways={chunk_ways} does not match the "
+                f"{store.chunk_ways}-way store"
+            )
         self.ways = ways
         self.nbits = 1 << ways
-        self.store = ChunkStore(chunk_ways)
+        self.store = store
         zero = PatternVector.zeros(ways, self.store)
         self.regs: list[PatternVector] = [zero] * NUM_QAT_REGS
         self._tag_metrics()

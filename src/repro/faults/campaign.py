@@ -32,11 +32,13 @@ import time
 from dataclasses import dataclass, field
 
 from repro.cpu import fastpath as _fastpath
+from repro.cpu.qat_backend import REQatBackend
 from repro.errors import ReproError
 from repro.faults.inject import FaultPlan, apply_event
 from repro.faults.traps import TrapPolicy
 from repro.obs import flight as _flight
 from repro.obs import runtime as _obs
+from repro.pattern import ChunkStore
 from repro.runtime.supervisor import chaos_hook
 
 #: Run outcome labels.  ``toxic`` is the supervised fan-out's poison
@@ -150,6 +152,15 @@ def golden_run(program, sim: str = "functional", ways: int = 8,
 #: once per run) keeps the fan-out overhead flat.
 _WORKER_IMAGES: dict[str, object] = {}
 
+#: Per-process RE templates: the golden run's chunk store, keyed by
+#: ``(program, sim, ways)``.  Every faulted RE run -- and every lane
+#: batch -- computes on a fork of it (:meth:`ChunkStore.fork`), so the
+#: chunks and gate results of the fault-free computation are interned
+#: once per campaign instead of once per run.  Dropped by
+#: :func:`run_campaign` and :func:`_worker_init`, so no template
+#: outlives its campaign.
+_RE_TEMPLATES: dict[tuple, ChunkStore] = {}
+
 
 def _classify(run: int, seed: int, plan: FaultPlan, error: str | None,
               traps, result: tuple, golden: tuple) -> dict:
@@ -177,18 +188,46 @@ def _worker_image(program: str):
     return image
 
 
+def _re_template(program: str, sim: str, ways: int):
+    """The golden run's chunk store for this campaign's RE runs.
+
+    :func:`run_campaign` records it from its own golden run; a
+    ``--jobs`` worker starts without one and rebuilds it with one golden
+    run of its own -- the same deterministic computation.
+    """
+    key = (program, sim, ways)
+    store = _RE_TEMPLATES.get(key)
+    if store is None:
+        backend = REQatBackend(ways)
+        golden_run(_worker_image(program), sim=sim, ways=ways,
+                   qat_backend=backend)
+        store = _RE_TEMPLATES[key] = backend.store
+    return store
+
+
+def _run_qat(program: str, sim: str, ways: int, qat_backend: str):
+    """The Qat substrate of one faulted run: a dense spec passes through,
+    an RE run gets a backend over a fork of the golden store (the
+    fork's new symbols die with the run)."""
+    if qat_backend != "re":
+        return qat_backend
+    return REQatBackend(ways, store=_re_template(program, sim, ways).fork())
+
+
 def _worker_init() -> None:
     """Set up one campaign worker process.
 
     Workers forked from an instrumented parent must not write into its
     telemetry (the parent replays per-run hooks from the returned
-    durations), and each gets pristine process-global pattern stores.
+    durations), and each gets pristine process-global pattern stores
+    and builds its own RE template.
     """
     from repro.pattern import reset_default_stores
 
     _obs.install(None)
     reset_default_stores()
     _WORKER_IMAGES.clear()
+    _RE_TEMPLATES.clear()
 
 
 def _single_run(task: tuple, attempt: int = 0) -> tuple[int, dict, float, int, int]:
@@ -228,7 +267,8 @@ def _single_run(task: tuple, attempt: int = 0) -> tuple[int, dict, float, int, i
         targets=tuple(targets),
         mem_span=mem_span,
     )
-    subject = _new_simulator(sim, ways, None, qat_backend=qat_backend)
+    subject = _new_simulator(sim, ways, None, qat_backend=_run_qat(
+        program, sim, ways, qat_backend))
     subject.load(image)
     t0 = time.perf_counter()
     steps = 0
@@ -249,8 +289,9 @@ def _batch_pending(pending: list, batch: int, image, settle) -> None:
     """Execute pending campaign tasks in lane batches, in-process.
 
     Each chunk of up to ``batch`` tasks becomes one
-    :class:`~repro.cpu.batch.BatchFunctionalSimulator`: every run is a
-    lane with its own per-run :class:`FaultPlan` (the same
+    :class:`~repro.cpu.batch.BatchFunctionalSimulator` (on the RE
+    substrate, its lanes share one fork of the golden store): every run
+    is a lane with its own per-run :class:`FaultPlan` (the same
     ``seed * 1_000_003 + run`` derivation as the serial and ``--jobs``
     paths), fault events are injected on the lane's array slices, and
     each lane is classified by :func:`_classify` (a parked lane's error
@@ -258,7 +299,7 @@ def _batch_pending(pending: list, batch: int, image, settle) -> None:
     byte-identical to the serial campaign.  Wall seconds are apportioned evenly across the chunk's
     lanes for the progress heartbeats (never part of the report).
     """
-    from repro.cpu.batch import BatchFunctionalSimulator
+    from repro.cpu.batch import BatchFunctionalSimulator, BatchREQat
     from repro.obs.progress import worker_ident
 
     worker = worker_ident()
@@ -288,8 +329,12 @@ def _batch_pending(pending: list, batch: int, image, settle) -> None:
             )
             for task in chunk
         ]
+        qat = qat_backend
+        if qat_backend == "re":
+            qat = BatchREQat(len(chunk), ways,
+                             store=_re_template(program, sim, ways).fork())
         subject = BatchFunctionalSimulator(len(chunk), ways=ways,
-                                           qat_backend=qat_backend)
+                                           qat_backend=qat)
         subject.load(image)
         t0 = time.perf_counter()
         lane_steps = subject.run(
@@ -402,7 +447,10 @@ def run_campaign(
     from ``seed`` and the run index, so the whole campaign is a pure
     function of its arguments.  The process-global pattern stores are
     reset first so chunk interning from earlier work (or an earlier
-    campaign) can never bleed into this one's RE-backed runs.
+    campaign) can never bleed into this one's RE-backed runs.  On the
+    RE substrate the golden run's chunk store becomes the campaign's
+    template: each run (each lane batch, under ``batch``) computes on a
+    fork of it, and the template is dropped when the runs are done.
 
     ``jobs > 1`` shards the runs across a *supervised* worker pool
     (:class:`repro.runtime.supervisor.Supervisor`): a worker that
@@ -457,9 +505,13 @@ def run_campaign(
     from repro.pattern import reset_default_stores
 
     reset_default_stores()
+    _RE_TEMPLATES.clear()
     image = _load_program(program)
+    golden_qat = REQatBackend(ways) if qat_backend == "re" else qat_backend
     golden, golden_steps = golden_run(image, sim=sim, ways=ways,
-                                      qat_backend=qat_backend)
+                                      qat_backend=golden_qat)
+    if qat_backend == "re":
+        _RE_TEMPLATES[(program, sim, ways)] = golden_qat.store
     # Concentrate memory faults on the loaded image plus a data margin.
     mem_span = max(64, 2 * len(getattr(image, "words", image)))
     watchdog = golden_steps * _WATCHDOG_FACTOR + _WATCHDOG_SLACK
@@ -540,6 +592,7 @@ def run_campaign(
         for task in pending:
             run_idx, detail, seconds, steps, worker = _single_run(task)
             _settle(run_idx, detail, seconds, steps, 1, worker)
+    _RE_TEMPLATES.clear()
     if tracker is not None:
         tracker.finish()
 

@@ -84,7 +84,7 @@ class Checkpoint:
     #: timing-model cycle at capture, if the simulator supplied one
     cycle: int | None = None
     #: chunkstore symbols captured alongside -- an explicitly passed
-    #: store (dense machines) or the RE backend's private store
+    #: store (dense machines) or the RE backend's own store
     store_chunks: tuple[np.ndarray, ...] = field(default=())
     store_chunk_ways: int | None = None
     #: which Qat substrate the machine ran ("dense" or "re")
@@ -98,7 +98,7 @@ class Checkpoint:
     def take(cls, machine, cycle: int | None = None, store=None) -> "Checkpoint":
         """Snapshot ``machine`` (and optionally a ``ChunkStore``) now.
 
-        On an RE-backed machine the backend's private store is captured
+        On an RE-backed machine the backend's own store is captured
         (the ``store`` argument is ignored): the run lists are
         meaningless without the chunk payloads their symbols point at.
         """

@@ -35,7 +35,13 @@ class ChunkStore:
     constant registers ``@0`` = 0 and ``@1`` = 1).
     """
 
-    def __init__(self, chunk_ways: int, memo_limit: int = MEMO_LIMIT):
+    def __init__(self, chunk_ways: int, memo_limit: int = MEMO_LIMIT, *,
+                 parent: "ChunkStore | None" = None):
+        if parent is not None and parent.chunk_ways != chunk_ways:
+            raise EntanglementError(
+                f"cannot fork a {parent.chunk_ways}-way store as "
+                f"{chunk_ways}-way"
+            )
         if chunk_ways < 0:
             raise EntanglementError(f"chunk_ways must be >= 0, got {chunk_ways}")
         if memo_limit <= 0:
@@ -68,8 +74,33 @@ class ChunkStore:
         self.gate_misses = 0
         #: Times chunk_safe had to degrade (bad symbol or digest mismatch).
         self.degraded = 0
+        if parent is not None:
+            # A fork (see fork()): share the chunk objects, copy the rest.
+            self._chunks = list(parent._chunks)
+            self._ids = dict(parent._ids)
+            self._crcs = list(parent._crcs)
+            self._binop_cache = dict(parent._binop_cache)
+            self._not_cache = dict(parent._not_cache)
+            self._popcount = dict(parent._popcount)
+            self._first_one = dict(parent._first_one)
+            self.zero_id, self.one_id = parent.zero_id, parent.one_id
+            return
         self.zero_id = self.intern(AoB.zeros(chunk_ways))
         self.one_id = self.intern(AoB.ones(chunk_ways))
+
+    def fork(self) -> "ChunkStore":
+        """A warm child store: this store's symbols and memo tables.
+
+        The child shares this store's immutable chunk objects and copies
+        its symbol index, integrity digests and memo tables, so every
+        symbol id and memoized gate result known here means the same in
+        the child.  Symbols the child interns later are its own and die
+        with it; this store is never written.  A fault campaign forks
+        the golden run's store for every faulted run, which then only
+        computes the chunks its faults make new.  The child's hit/miss
+        and eviction counters start at zero.
+        """
+        return ChunkStore(self.chunk_ways, self.memo_limit, parent=self)
 
     def __len__(self) -> int:
         return len(self._chunks)

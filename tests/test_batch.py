@@ -14,7 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.asm import assemble
+from repro import obs
 from repro.cpu import BatchFunctionalSimulator, FunctionalSimulator
+from repro.cpu.batch import BatchREQat
+from repro.cpu.qat_backend import REQatBackend
 from repro.errors import ReproError, SimulatorError
 from repro.faults.campaign import render_report, run_campaign
 from repro.faults.inject import FaultPlan, apply_event
@@ -23,6 +26,9 @@ from repro.faults.traps import TrapCause, TrapDelivered
 from tests.test_pipeline import random_program
 
 BACKENDS = ["dense", "re"]
+
+#: Every architectural fault target the functional simulator honours.
+ALL_TARGETS = ("gpr", "mem", "qreg", "pc")
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +169,82 @@ class TestBatchVsSerialState:
 
 
 # ---------------------------------------------------------------------------
+# RE lane grouping: one gate evaluation per distinct operand set
+# ---------------------------------------------------------------------------
+
+class TestBatchREGrouping:
+    LANES, WAYS = 5, 24
+
+    def _replay(self):
+        """The same ops on a shared-store batch and on private backends;
+        lane 2 takes a qreg flip that splits its operand group."""
+        qat = BatchREQat(self.LANES, self.WAYS)
+        private = [REQatBackend(self.WAYS) for _ in range(self.LANES)]
+        everyone = np.arange(self.LANES)
+
+        def both(op, *args, gate=None):
+            # Batch gates take the lane vector after the gate name.
+            prefix = (gate,) if gate else ()
+            getattr(qat, op)(*prefix, everyone, *args)
+            for backend in private:
+                getattr(backend, op)(*prefix, *args)
+
+        both("had", 1, 3)
+        both("had", 2, 17)  # runs of whole 16-way chunks
+        both("had", 3, 20)
+        qat.flip_bit(2, 1, 5, 9)
+        private[2].flip_bit(1, 5, 9)
+        both("binary", 4, 1, 2, gate="xor")
+        both("ccnot", 3, 4, 1)
+        both("cswap", 1, 2, 4)
+        both("binary", 5, 1, 3, gate="and")
+        return qat, private
+
+    def test_lanes_match_private_store_backends(self):
+        qat, private = self._replay()
+        for lane, backend in enumerate(private):
+            for reg in range(6):
+                assert qat.vector(lane, reg) == backend.vector(reg)
+        assert qat.vector(2, 4) != qat.vector(0, 4)
+        lanes = np.arange(self.LANES)
+        for channel in (0, 329, 1 << 17, (1 << 24) - 1):
+            channels = np.full(self.LANES, channel)
+            for probe in ("meas", "next", "pop_after"):
+                assert getattr(qat, probe)(lanes, 4, channels).tolist() == [
+                    getattr(backend, probe)(4, channel)
+                    for backend in private
+                ]
+
+    def test_untouched_lanes_share_one_object_per_value(self):
+        qat, _ = self._replay()
+        for reg in range(6):
+            assert len({id(qat.vector(lane, reg))
+                        for lane in (0, 1, 3, 4)}) == 1
+
+    def test_counters_count_every_lane(self):
+        qat = BatchREQat(4, 8)
+        with obs.capture(tracing=False) as telemetry:
+            qat.had(np.arange(4), 1, 0)
+            qat.binary("and", np.arange(4), 2, 1, 1)
+        assert telemetry.metrics.value("qat.re.ops") == 8
+        assert telemetry.metrics.value("qat.re.runs.had") == 4
+
+    def test_campaign_counters_match_serial(self):
+        kwargs = dict(program="fig10", runs=16, seed=7, ways=24,
+                      qat_backend="re", targets=ALL_TARGETS)
+
+        def counters(**strategy):
+            with obs.capture(tracing=False) as telemetry:
+                run_campaign(**kwargs, **strategy)
+            return {name: telemetry.metrics.value(name)
+                    for name in telemetry.metrics.names()
+                    if name.startswith(("qat.re.", "faults."))
+                    and name != "faults.run_seconds"}
+
+        assert counters() == counters(batch=16)
+
+
+# ---------------------------------------------------------------------------
 # Campaign report bytes: --batch N vs serial vs --jobs
 # ---------------------------------------------------------------------------
 
@@ -177,6 +259,18 @@ class TestBatchCampaignBytes:
         batched = run_campaign(batch=batch, **kwargs)
         assert render_report(serial).encode() == \
             render_report(batched).encode()
+
+    @pytest.mark.parametrize("strategy", [
+        {"jobs": 2}, {"batch": 3}, {"batch": 16}, {"batch": 256},
+    ])
+    def test_re24_report_bytes_identical(self, strategy):
+        kwargs = dict(program="fig10", runs=24, seed=7, ways=24,
+                      qat_backend="re", faults_per_run=3,
+                      targets=ALL_TARGETS)
+        serial = run_campaign(**kwargs)
+        fanned = run_campaign(**strategy, **kwargs)
+        assert render_report(serial).encode() == \
+            render_report(fanned).encode()
 
     def test_report_bytes_identical_factor(self):
         serial = run_campaign(program="factor", runs=6, seed=11)
@@ -201,3 +295,56 @@ class TestBatchCampaignBytes:
     def test_batch_must_be_positive(self):
         with pytest.raises(ReproError, match="positive"):
             run_campaign(runs=2, batch=0)
+
+
+# ---------------------------------------------------------------------------
+# RE campaign template: the golden store is forked, never written
+# ---------------------------------------------------------------------------
+
+def _store_state(store) -> tuple:
+    return (
+        [chunk.words.tobytes() for chunk in store.chunks()],
+        list(store._crcs),
+        dict(store._binop_cache),
+        dict(store._not_cache),
+        dict(store._popcount),
+        dict(store._first_one),
+    )
+
+
+class TestRECampaignTemplate:
+    def test_template_is_unchanged_by_its_campaign(self, monkeypatch):
+        from repro.faults import campaign
+
+        templates = []
+        real = campaign.golden_run
+
+        def golden_run(*args, **kwargs):
+            result = real(*args, **kwargs)
+            store = kwargs["qat_backend"].store
+            templates.append((store, _store_state(store)))
+            return result
+
+        monkeypatch.setattr(campaign, "golden_run", golden_run)
+        for strategy in ({}, {"batch": 8}):
+            run_campaign(program="fig10", runs=16, seed=3, ways=24,
+                         qat_backend="re", faults_per_run=3,
+                         targets=ALL_TARGETS, **strategy)
+        assert len(templates) == 2
+        for store, state in templates:
+            assert _store_state(store) == state
+        assert campaign._RE_TEMPLATES == {}
+
+    @pytest.mark.parametrize("strategy", [{}, {"batch": 4}])
+    def test_back_to_back_campaigns_render_alone_bytes(self, strategy):
+        fig10 = dict(program="fig10", runs=12, seed=5, ways=24,
+                     qat_backend="re", faults_per_run=3,
+                     targets=ALL_TARGETS, **strategy)
+        factor = dict(program="factor", runs=6, seed=5, ways=8,
+                      qat_backend="re", faults_per_run=2,
+                      targets=ALL_TARGETS, **strategy)
+        fig10_first = [render_report(run_campaign(**c))
+                       for c in (fig10, factor)]
+        factor_first = [render_report(run_campaign(**c))
+                        for c in (factor, fig10)]
+        assert fig10_first == factor_first[::-1]

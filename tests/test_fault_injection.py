@@ -143,6 +143,19 @@ class TestChunkStoreDegradation:
         store.chunk_safe(a)  # detect + adopt
         assert store.popcount(a) in (31, 33)
 
+    def test_corrupting_a_fork_leaves_its_parent_intact(self):
+        parent = ChunkStore(6)
+        sym = parent.intern(AoB.hadamard(6, 1))
+        child = parent.fork()
+        flip_chunk_bit(child, sym, 0)
+        assert parent.chunk_safe(sym) == AoB.hadamard(6, 1)
+        assert parent.degraded == 0
+        assert child.chunk_safe(sym) != AoB.hadamard(6, 1)
+        assert child.degraded == 1
+        sibling = parent.fork()
+        assert sibling.chunk_safe(sym) == AoB.hadamard(6, 1)
+        assert sibling.degraded == 0
+
     def test_stats_include_degraded(self):
         store = ChunkStore(6)
         store.chunk_safe(12345)

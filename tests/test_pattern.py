@@ -63,6 +63,42 @@ class TestChunkStore:
             store.binop("nand", store.zero_id, store.one_id)
 
 
+class TestChunkStoreFork:
+    def test_fork_starts_warm(self, store):
+        a, b = store.hadamard(0), store.hadamard(3)
+        product = store.binop("and", a, b)
+        child = store.fork()
+        assert len(child) == len(store)
+        assert child.chunk(product) is store.chunk(product)
+        assert child.binop("and", a, b) == product
+        assert child.gate_hits == 1 and child.gate_misses == 0
+
+    def test_fork_symbols_die_with_it(self, store):
+        store.hadamard(1)
+        before = (len(store), dict(store._binop_cache), store.gate_misses)
+        child = store.fork()
+        new = child.binop("xor", child.hadamard(1), child.hadamard(4))
+        assert new >= before[0]
+        child.bnot(new)
+        assert (len(store), dict(store._binop_cache),
+                store.gate_misses) == before
+        assert store.stats()["not_cache"] == 0
+
+    def test_sibling_forks_have_independent_symbols(self, store):
+        left, right = store.fork(), store.fork()
+        x = left.intern(AoB.hadamard(6, 5))
+        y = right.intern(AoB.hadamard(6, 2))
+        assert left.chunk(x) == AoB.hadamard(6, 5)
+        assert right.chunk(y) == AoB.hadamard(6, 2)
+        assert x == y  # the same next id, holding different values
+
+    def test_vectors_on_a_fork_match_the_parent(self, store):
+        child = store.fork()
+        for k in range(8):
+            assert (PatternVector.hadamard(8, k, store=child)
+                    == PatternVector.hadamard(8, k, store=store))
+
+
 class TestPatternConstruction:
     def test_zeros_one_run(self, store):
         v = PatternVector.zeros(10, store)

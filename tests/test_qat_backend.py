@@ -122,6 +122,23 @@ class TestStoreIsolation:
 
         assert a.store is not default_store(8)
 
+    def test_re_backend_adopts_a_given_store(self):
+        from repro.pattern import ChunkStore
+
+        store = ChunkStore(6).fork()
+        backend = REQatBackend(8, store=store)
+        assert backend.store is store
+        backend.had(3, 7)
+        private = REQatBackend(8, chunk_ways=6)
+        private.had(3, 7)
+        assert backend.vector(3) == private.vector(3)
+
+    def test_re_backend_rejects_mismatched_chunk_ways(self):
+        from repro.pattern import ChunkStore
+
+        with pytest.raises(SimulatorError, match="chunk_ways"):
+            REQatBackend(8, chunk_ways=7, store=ChunkStore(6))
+
 
 _QAT_SOURCES = {
     "had_and_next": (
