@@ -7,7 +7,8 @@ machine.  This module turns the machine axis into an *array* axis:
 
 - **Array-of-machines state** (:class:`BatchMachines`): GPRs are an
   ``(N, 16)`` uint16 matrix, memory an ``(N, 65536)`` uint16 matrix
-  (``np.zeros`` is calloc-backed, so untouched lanes cost no RSS),
+  on its own anonymous mapping (:func:`_lane_memory`: untouched words
+  cost no RSS, whatever the lane count),
   PC / instret / halted / parked are per-lane vectors, and the Qat
   register file gains a leading lane axis
   (:class:`BatchDenseQat` / :class:`BatchREQat`).
@@ -51,6 +52,8 @@ match the serial path.
 
 from __future__ import annotations
 
+import mmap
+
 import numpy as np
 
 from repro.aob import AoB
@@ -79,6 +82,23 @@ _WORD_FULL = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 #: two-word major at the last address).  Word values are 16-bit, so
 #: 0x10000 can never collide with a real second word.
 _NO_WORD2 = 0x10000
+
+
+def _lane_memory(n: int) -> np.ndarray:
+    """Zeroed ``(n, 65536)`` uint16 lane memory on a fresh anonymous
+    mapping, unmapped when the array dies.
+
+    ``np.zeros`` would take it from malloc: a fresh, lazily zeroed
+    mapping only while the size is above glibc's mmap threshold, which
+    rises to the size of each mapping freed (up to 32 MiB).  A campaign
+    whose lane counts vary under 256 would then get its later matrices
+    from the heap, zeroed by ``memset`` -- every page resident, and the
+    process's peak RSS hanging on the order of the lane counts.  Its
+    own mapping keeps only the words a lane touches resident.
+    """
+    return np.frombuffer(
+        mmap.mmap(-1, n * _MEM_WORDS * 2), dtype=np.uint16
+    ).reshape(n, _MEM_WORDS)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +403,7 @@ class BatchMachines:
         self.ways = ways
         self.nbits = 1 << ways
         self.regs = np.zeros((n, NUM_GPRS), dtype=np.uint16)
-        self.mem = np.zeros((n, _MEM_WORDS), dtype=np.uint16)
+        self.mem = _lane_memory(n)
         self.pc = np.zeros(n, dtype=np.int64)
         self.instret = np.zeros(n, dtype=np.int64)
         self.halted = np.zeros(n, dtype=bool)

@@ -30,11 +30,13 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.cpu import fastpath as _fastpath
 from repro.cpu.qat_backend import REQatBackend
 from repro.errors import ReproError
 from repro.faults.inject import FaultPlan, apply_event
+from repro.faults.prune import AccessIndex
 from repro.faults.traps import TrapPolicy
 from repro.obs import flight as _flight
 from repro.obs import runtime as _obs
@@ -139,11 +141,21 @@ def _drive(sim, plan: FaultPlan | None, max_steps: int) -> int:
 
 
 def golden_run(program, sim: str = "functional", ways: int = 8,
-               qat_backend: str = "dense") -> tuple[tuple, int]:
-    """Fault-free reference execution: (architectural result, steps)."""
+               qat_backend: str = "dense",
+               accesses: AccessIndex | None = None) -> tuple[tuple, int]:
+    """Fault-free reference execution: (architectural result, steps).
+
+    Given an :class:`~repro.faults.prune.AccessIndex`, a functional or
+    multicycle golden run records every location access into it as it
+    executes (the pipelined sim's steps are cycles: it records nothing,
+    so the index stays unable to prune).
+    """
     reference = _new_simulator(sim, ways, None, qat_backend=qat_backend)
     reference.load(program)
-    steps = _drive(reference, None, sys.maxsize)
+    if accesses is not None and sim != "pipelined":
+        steps = accesses.record(reference)
+    else:
+        steps = _drive(reference, None, sys.maxsize)
     return _architectural_result(reference.machine), steps
 
 
@@ -162,12 +174,28 @@ _WORKER_IMAGES: dict[str, object] = {}
 _RE_TEMPLATES: dict[tuple, ChunkStore] = {}
 
 
-def _classify(run: int, seed: int, plan: FaultPlan, error: str | None,
+class RunTask(NamedTuple):
+    """One faulted run as the parent hands it to a drive: everything
+    :func:`_single_run` needs, its fault plan included (the parent
+    derives every plan once; no drive re-derives one)."""
+
+    run: int
+    program: str
+    sim: str
+    ways: int
+    qat_backend: str
+    plan: FaultPlan
+    golden: tuple
+    watchdog: int
+
+
+def _classify(run: int, plan: FaultPlan, error: str | None,
               traps, result: tuple, golden: tuple) -> dict:
     """RunResult dict of one finished run: an error or a trap record is
     ``detected``, else the architectural result against the golden run
     decides ``masked`` or ``silent``.  The serial, ``--jobs`` and
-    ``--batch`` drives all classify here, so their reports match."""
+    ``--batch`` drives and the pruned runs all classify here, so their
+    reports match."""
     if error is not None or traps:
         outcome = DETECTED
     elif result == golden:
@@ -175,7 +203,7 @@ def _classify(run: int, seed: int, plan: FaultPlan, error: str | None,
     else:
         outcome = SILENT
     return RunResult(
-        run=run, seed=seed, outcome=outcome,
+        run=run, seed=plan.seed, outcome=outcome,
         events=[e.as_dict() for e in plan.events],
         traps=[r.as_dict() for r in traps], error=error,
     ).as_dict()
@@ -230,8 +258,9 @@ def _worker_init() -> None:
     _RE_TEMPLATES.clear()
 
 
-def _single_run(task: tuple, attempt: int = 0) -> tuple[int, dict, float, int, int]:
-    """Execute one faulted run; pure function of its task tuple.
+def _single_run(task: RunTask,
+                attempt: int = 0) -> tuple[int, dict, float, int, int]:
+    """Execute one faulted run; pure function of its task.
 
     Returns ``(run index, RunResult dict, wall seconds, steps, worker)``
     so results can be merged deterministically regardless of worker
@@ -241,8 +270,7 @@ def _single_run(task: tuple, attempt: int = 0) -> tuple[int, dict, float, int, i
     independent, but the chaos hook uses it to model faults that heal
     on retry.
     """
-    (run, program, seed, sim, ways, faults_per_run, targets, qat_backend,
-     golden, golden_steps, mem_span, watchdog) = task
+    run, program, sim, ways, qat_backend, plan, golden, watchdog = task
     # Flight recorder: a boundary mark per run (the worker's ring spans
     # runs, so a post-mortem can tell whose events the tail belongs to)
     # plus fresh spill context -- recorded *before* the chaos hook so a
@@ -258,15 +286,6 @@ def _single_run(task: tuple, attempt: int = 0) -> tuple[int, dict, float, int, i
     )
     chaos_hook(run, attempt)
     image = _worker_image(program)
-    run_seed = seed * 1_000_003 + run
-    plan = FaultPlan.from_seed(
-        run_seed,
-        faults_per_run,
-        max_step=golden_steps,
-        ways=ways,
-        targets=tuple(targets),
-        mem_span=mem_span,
-    )
     subject = _new_simulator(sim, ways, None, qat_backend=_run_qat(
         program, sim, ways, qat_backend))
     subject.load(image)
@@ -278,7 +297,7 @@ def _single_run(task: tuple, attempt: int = 0) -> tuple[int, dict, float, int, i
     except ReproError as exc:
         error = str(exc)
     machine = subject.machine
-    detail = _classify(run, run_seed, plan, error, machine.traps,
+    detail = _classify(run, plan, error, machine.traps,
                        _architectural_result(machine), golden)
     from repro.obs.progress import worker_ident
 
@@ -291,12 +310,11 @@ def _batch_pending(pending: list, batch: int, image, settle) -> None:
     Each chunk of up to ``batch`` tasks becomes one
     :class:`~repro.cpu.batch.BatchFunctionalSimulator` (on the RE
     substrate, its lanes share one fork of the golden store): every run
-    is a lane with its own per-run :class:`FaultPlan` (the same
-    ``seed * 1_000_003 + run`` derivation as the serial and ``--jobs``
-    paths), fault events are injected on the lane's array slices, and
-    each lane is classified by :func:`_classify` (a parked lane's error
-    text is the serial run's exception), so the merged report is
-    byte-identical to the serial campaign.  Wall seconds are apportioned evenly across the chunk's
+    is a lane with its task's :class:`FaultPlan`, fault events are
+    injected on the lane's array slices, and each lane is classified by
+    :func:`_classify` (a parked lane's error text is the serial run's
+    exception), so the merged report is byte-identical to the serial
+    campaign.  Wall seconds are apportioned evenly across the chunk's
     lanes for the progress heartbeats (never part of the report).
     """
     from repro.cpu.batch import BatchFunctionalSimulator, BatchREQat
@@ -305,30 +323,19 @@ def _batch_pending(pending: list, batch: int, image, settle) -> None:
     worker = worker_ident()
     for chunk_start in range(0, len(pending), batch):
         chunk = pending[chunk_start:chunk_start + batch]
-        (_, program, seed, sim, ways, faults_per_run, targets, qat_backend,
-         golden, golden_steps, mem_span, watchdog) = chunk[0]
+        _, program, sim, ways, qat_backend, _, golden, watchdog = chunk[0]
         if _flight.RECORDER.enabled:
             _flight.RECORDER.mark(
                 "campaign.batch",
-                f"runs={chunk[0][0]}..{chunk[-1][0]} lanes={len(chunk)} "
+                f"runs={chunk[0].run}..{chunk[-1].run} lanes={len(chunk)} "
                 f"sim={sim}",
             )
         _flight.WORKER_CONTEXT.clear()
         _flight.WORKER_CONTEXT.update(
             program=program, sim=sim, ways=ways, qat_backend=qat_backend,
-            run=chunk[0][0], batch=len(chunk),
+            run=chunk[0].run, batch=len(chunk),
         )
-        plans = [
-            FaultPlan.from_seed(
-                seed * 1_000_003 + task[0],
-                faults_per_run,
-                max_step=golden_steps,
-                ways=ways,
-                targets=tuple(targets),
-                mem_span=mem_span,
-            )
-            for task in chunk
-        ]
+        plans = [task.plan for task in chunk]
         qat = qat_backend
         if qat_backend == "re":
             qat = BatchREQat(len(chunk), ways,
@@ -344,10 +351,10 @@ def _batch_pending(pending: list, batch: int, image, settle) -> None:
         seconds = (time.perf_counter() - t0) / len(chunk)
         machines = subject.machines
         for lane, task in enumerate(chunk):
-            run = task[0]
+            run = task.run
             error = machines.errors[lane]
             detail = _classify(
-                run, seed * 1_000_003 + run, plans[lane], error,
+                run, task.plan, error,
                 machines.traps[lane],
                 (tuple(int(r) for r in machines.regs[lane]),
                  tuple(machines.output[lane])),
@@ -375,11 +382,11 @@ class CampaignInterrupted(ReproError):
         super().__init__(f"campaign interrupted after {done}/{total} runs")
 
 
-def _toxic_detail(run: int, seed: int, outcome) -> dict:
+def _toxic_detail(task: RunTask, outcome) -> dict:
     """RunResult-shaped dict for a quarantined (poison) shard."""
     return {
-        "run": run,
-        "seed": seed * 1_000_003 + run,
+        "run": task.run,
+        "seed": task.plan.seed,
         "outcome": TOXIC,
         "events": [],
         "traps": [],
@@ -426,6 +433,26 @@ def _campaign_report(program, sim, ways, qat_backend, seed, runs,
     }
 
 
+def _campaign_tasks(program: str, image, golden: tuple, golden_steps: int,
+                    runs: int, seed: int, sim: str, ways: int,
+                    faults_per_run: int, targets, qat_backend: str
+                    ) -> list[RunTask]:
+    """Every run's task, its :class:`FaultPlan` seeded from ``seed`` and
+    the run index -- the one place a campaign derives its plans."""
+    # Concentrate memory faults on the loaded image plus a data margin.
+    mem_span = max(64, 2 * len(getattr(image, "words", image)))
+    watchdog = golden_steps * _WATCHDOG_FACTOR + _WATCHDOG_SLACK
+    return [
+        RunTask(run, program, sim, ways, qat_backend,
+                FaultPlan.from_seed(seed * 1_000_003 + run, faults_per_run,
+                                    max_step=golden_steps, ways=ways,
+                                    targets=tuple(targets),
+                                    mem_span=mem_span),
+                golden, watchdog)
+        for run in range(runs)
+    ]
+
+
 def run_campaign(
     program: str = "fig10",
     runs: int = 20,
@@ -445,9 +472,14 @@ def run_campaign(
 
     Every run gets its own simulator and a per-run fault plan seeded
     from ``seed`` and the run index, so the whole campaign is a pure
-    function of its arguments.  The process-global pattern stores are
-    reset first so chunk interning from earlier work (or an earlier
-    campaign) can never bleed into this one's RE-backed runs.  On the
+    function of its arguments.  The functional and multicycle golden
+    runs record an :class:`~repro.faults.prune.AccessIndex`; a run whose
+    every flip the golden run overwrites unread (or never reads again,
+    outside the result GPRs) is settled ``masked`` here, before any
+    fan-out, exactly as its simulation would classify it.  The
+    process-global pattern stores are reset first so chunk interning
+    from earlier work (or an earlier campaign) can never bleed into
+    this one's RE-backed runs.  On the
     RE substrate the golden run's chunk store becomes the campaign's
     template: each run (each lane batch, under ``batch``) computes on a
     fork of it, and the template is dropped when the runs are done.
@@ -508,19 +540,14 @@ def run_campaign(
     _RE_TEMPLATES.clear()
     image = _load_program(program)
     golden_qat = REQatBackend(ways) if qat_backend == "re" else qat_backend
+    accesses = AccessIndex()
     golden, golden_steps = golden_run(image, sim=sim, ways=ways,
-                                      qat_backend=golden_qat)
+                                      qat_backend=golden_qat,
+                                      accesses=accesses)
     if qat_backend == "re":
         _RE_TEMPLATES[(program, sim, ways)] = golden_qat.store
-    # Concentrate memory faults on the loaded image plus a data margin.
-    mem_span = max(64, 2 * len(getattr(image, "words", image)))
-    watchdog = golden_steps * _WATCHDOG_FACTOR + _WATCHDOG_SLACK
-
-    tasks = [
-        (run, program, seed, sim, ways, faults_per_run, tuple(targets),
-         qat_backend, golden, golden_steps, mem_span, watchdog)
-        for run in range(runs)
-    ]
+    tasks = _campaign_tasks(program, image, golden, golden_steps, runs, seed,
+                            sim, ways, faults_per_run, targets, qat_backend)
     fingerprint = {
         "program": program, "runs": runs, "seed": seed, "sim": sim,
         "ways": ways, "faults_per_run": faults_per_run,
@@ -530,25 +557,53 @@ def run_campaign(
     if journal is not None:
         done = journal.begin("faults", fingerprint)
     completed: list[dict] = list(done.values())
-    pending = [task for task in tasks if task[0] not in done]
+    pending = [task for task in tasks if task.run not in done]
     if tracker is not None and done:
         # Replayed shards never heartbeat; track only what will run.
         tracker.total = len(pending)
+    # Chosen before pruning, so the telemetry a strategy publishes
+    # (supervisor.* for a fan-out, faults.injected.* in-process) does not
+    # hang on how many runs the golden run settles.
+    fanout = jobs > 1 and len(pending) > 1
 
     def _settle(run_idx: int, detail: dict, seconds: float, steps: int,
-                attempts: int, worker: int) -> None:
+                attempts: int, worker: int, pruned: bool = False) -> None:
         payload = {"run": run_idx, "detail": detail,
                    "seconds": seconds, "steps": steps}
+        if pruned:
+            payload["pruned"] = True
         completed.append(payload)
         if journal is not None:
             status = SHARD_TOXIC if detail["outcome"] == TOXIC \
                 else SHARD_DONE
             journal.record(run_idx, status, attempts, payload)
         if tracker is not None:
-            tracker.note(worker, seconds, steps=steps)
+            if pruned:
+                tracker.note_settled()
+            else:
+                tracker.note(worker, seconds, steps=steps)
+
+    # Runs the golden run proves masked settle here, before fan-out: a
+    # masked detail with no traps and no error, as a simulation of the
+    # plan would classify it.
+    simulate = []
+    for task in pending:
+        if not accesses.masked(task.plan):
+            simulate.append(task)
+            continue
+        if _obs.active and not fanout:
+            # The injections an in-process drive would have counted
+            # (telemetry is off in --jobs workers).
+            for event in task.plan.events:
+                _obs.current().metrics.counter(
+                    f"faults.injected.{event.target}").inc()
+        _settle(task.run,
+                _classify(task.run, task.plan, None, (), golden, golden),
+                0.0, 0, 1, 0, pruned=True)
+    pending = simulate
 
     interrupted = None
-    if pending and jobs > 1 and len(pending) > 1:
+    if fanout:
         from repro.runtime.supervisor import (
             Supervisor,
             SupervisorConfig,
@@ -566,7 +621,7 @@ def run_campaign(
                         outcome.attempts, worker)
             else:
                 _settle(outcome.shard,
-                        _toxic_detail(outcome.shard, seed, outcome),
+                        _toxic_detail(tasks[outcome.shard], outcome),
                         0.0, 0, outcome.attempts, 0)
 
         supervisor = Supervisor(
@@ -575,7 +630,7 @@ def run_campaign(
                       if tracker is not None else None),
         )
         try:
-            supervisor.run({task[0]: task for task in pending},
+            supervisor.run({task.run: task for task in pending},
                            on_result=_on_result)
         except SupervisorInterrupted as stop:
             interrupted = stop
@@ -605,8 +660,9 @@ def run_campaign(
             # classification totals and the campaign's timing profile.
             # Replayed here (not in workers) so parallel campaigns feed
             # the same parent-process telemetry as serial ones.
-            _obs.current().fault_run(payload["detail"]["outcome"],
-                                     payload["seconds"])
+            _obs.current().fault_run(
+                payload["detail"]["outcome"],
+                None if payload.get("pruned") else payload["seconds"])
 
     report = _campaign_report(program, sim, ways, qat_backend, seed, runs,
                               faults_per_run, targets, golden, golden_steps,

@@ -121,6 +121,13 @@ class ProgressTracker:
             self._last_emit = now
             self.emit(self.render_line())
 
+    def note_settled(self) -> None:
+        """One item completed without running on any worker (a campaign
+        run pruned before fan-out): it counts toward ``done`` only, so
+        worker tallies and stragglers describe work that ran."""
+        self.done += 1
+        self._wall = self.clock() - self.t0
+
     def note_supervisor(self, kind: str) -> None:
         """One supervision event (``"retries"``, ``"timeouts"``,
         ``"crashes"``, ``"errors"``, ``"workers.replaced"``,

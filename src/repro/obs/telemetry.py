@@ -128,11 +128,16 @@ class Telemetry:
             self.tracer.complete(f"checkpoint.{op}", ts_ns=t0_ns, dur_ns=dur,
                                  cat="faults", tid="faults")
 
-    def fault_run(self, outcome: str, seconds: float) -> None:
-        """One fault-campaign run classified as ``outcome``."""
+    def fault_run(self, outcome: str, seconds: float | None) -> None:
+        """One fault-campaign run classified as ``outcome``, simulated in
+        ``seconds`` -- ``None`` for a run settled without simulation
+        (pruned: the golden run proved it masked)."""
         self.metrics.counter(f"faults.{outcome}").inc()
         self.metrics.counter("faults.runs").inc()
-        self.metrics.histogram("faults.run_seconds").observe(seconds)
+        if seconds is None:
+            self.metrics.counter("faults.pruned").inc()
+        else:
+            self.metrics.histogram("faults.run_seconds").observe(seconds)
 
     def supervisor_run(self, stats: dict) -> None:
         """One supervised fan-out finished; ``stats`` is

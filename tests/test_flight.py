@@ -301,7 +301,7 @@ class TestCampaignBlackbox:
         from repro.runtime.supervisor import CHAOS_ENV, SupervisorConfig
 
         monkeypatch.setenv("TANGLED_BLACKBOX_DIR", str(tmp_path / "bb"))
-        monkeypatch.setenv(CHAOS_ENV, "crash:2:99")
+        monkeypatch.setenv(CHAOS_ENV, "crash:5:99")
         flight.configure_spool("cafecafecafe")
         try:
             report = run_campaign(
@@ -315,7 +315,7 @@ class TestCampaignBlackbox:
         boxes = report.get("blackbox")
         assert boxes and len(boxes) == 1
         doc = flight.load_blackbox(boxes[0])
-        assert doc["shard"] == 2 and doc["reason"] == "chaos-crash"
+        assert doc["shard"] == 5 and doc["reason"] == "chaos-crash"
         assert doc["context"]["program"] == "fig10"
         assert any(e["kind"] == "mark" and e["label"] == "campaign.run"
                    for e in doc["events"])
@@ -346,7 +346,7 @@ class TestCampaignBlackbox:
 
         serial = run_campaign(program="fig10", runs=6, seed=7, jobs=1)
         monkeypatch.setenv("TANGLED_BLACKBOX_DIR", str(tmp_path / "bb"))
-        monkeypatch.setenv(CHAOS_ENV, "crash:3:0")
+        monkeypatch.setenv(CHAOS_ENV, "crash:5:0")
         flight.configure_spool("0123456789ab")
         try:
             chaotic = run_campaign(program="fig10", runs=6, seed=7, jobs=3)

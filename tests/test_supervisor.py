@@ -304,24 +304,41 @@ class TestCampaignIntegration:
         from repro.faults.campaign import render_report, run_campaign
 
         serial = run_campaign(program="fig10", runs=6, seed=7, jobs=1)
-        monkeypatch.setenv(CHAOS_ENV, "crash:3:0")
+        # Run 5 is simulated (runs 2-4 at seed 7 are pruned as masked).
+        monkeypatch.setenv(CHAOS_ENV, "crash:5:0")
         chaotic = run_campaign(program="fig10", runs=6, seed=7, jobs=3)
         assert render_report(chaotic) == render_report(serial)
+
+    def test_chaos_aimed_at_a_pruned_run_never_fires(self, monkeypatch):
+        from repro.faults.campaign import render_report, run_campaign
+
+        serial = run_campaign(program="fig10", runs=6, seed=7, jobs=1)
+        # Run 3 is proven masked from the golden run and settled in the
+        # parent: no worker ever executes it, so the crash cannot fire.
+        monkeypatch.setenv(CHAOS_ENV, "crash:3:99")
+        report = run_campaign(
+            program="fig10", runs=6, seed=7, jobs=3,
+            supervise=SupervisorConfig(jobs=3, max_attempts=1,
+                                       backoff_base=0.01),
+        )
+        assert report["runs_detail"][3]["outcome"] == "masked"
+        assert report["summary"]["toxic"] == 0
+        assert render_report(report) == render_report(serial)
 
     def test_persistent_crash_shard_becomes_toxic_detail(self, monkeypatch):
         from repro.faults.campaign import run_campaign
 
-        monkeypatch.setenv(CHAOS_ENV, "crash:2:99")
+        monkeypatch.setenv(CHAOS_ENV, "crash:5:99")
         report = run_campaign(
             program="fig10", runs=6, seed=7, jobs=3,
             supervise=SupervisorConfig(jobs=3, max_attempts=2,
                                        backoff_base=0.01),
         )
         assert report["summary"]["toxic"] == 1
-        detail = report["runs_detail"][2]
+        detail = report["runs_detail"][5]
         assert detail["outcome"] == "toxic"
-        assert detail["run"] == 2
-        assert detail["seed"] == 7 * 1_000_003 + 2
+        assert detail["run"] == 5
+        assert detail["seed"] == 7 * 1_000_003 + 5
         assert detail["events"] == [] and detail["traps"] == []
         assert detail["failures"] == ["crash", "crash"]
         assert "quarantined" in detail["error"]
@@ -345,7 +362,7 @@ class TestCampaignIntegration:
         ledger = str(tmp_path / "ledger.db")
         serial = run_campaign(program="fig10", runs=6, seed=7, jobs=1)
 
-        monkeypatch.setenv(CHAOS_ENV, "crash:4:99")
+        monkeypatch.setenv(CHAOS_ENV, "crash:5:99")
         first = run_campaign(
             program="fig10", runs=6, seed=7, jobs=3,
             journal=ShardJournal("resumable", path=ledger),
@@ -367,7 +384,7 @@ class TestCampaignIntegration:
             program="fig10", runs=6, seed=7, jobs=1,
             journal=ShardJournal("resumable", path=ledger, resume=True),
         )
-        assert executed == [4]  # only the quarantined shard reran
+        assert executed == [5]  # only the quarantined shard reran
         assert render_report(resumed) == render_report(serial)
 
     def test_resume_refuses_drifted_arguments(self, tmp_path):
@@ -386,9 +403,9 @@ class TestCampaignIntegration:
     def test_interrupt_yields_partial_report_with_flag(self, monkeypatch):
         from repro.faults.campaign import CampaignInterrupted, run_campaign
 
-        # Shard 3 hangs forever (no shard timeout); the alarm interrupts
+        # Shard 5 hangs forever (no shard timeout); the alarm interrupts
         # the parent once every other run has finished.
-        monkeypatch.setenv(CHAOS_ENV, "hang:3:99")
+        monkeypatch.setenv(CHAOS_ENV, "hang:5:99")
 
         def _raise_interrupt(signum, frame):
             raise KeyboardInterrupt
@@ -405,7 +422,7 @@ class TestCampaignIntegration:
         report = stop.report
         assert report["interrupted"] is True
         assert stop.done == len(report["runs_detail"]) < 8
-        assert all(d["run"] != 3 for d in report["runs_detail"])
+        assert all(d["run"] != 5 for d in report["runs_detail"])
 
 
 class TestBenchIntegration:
