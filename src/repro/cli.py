@@ -684,6 +684,7 @@ def cmd_faults(args: argparse.Namespace) -> int:
                 f"faults.{key}": value
                 for key, value in report["summary"].items()
             }
+            led.counters["faults.pruned"] = tracker.settled
             for kind, count in sorted(tracker.supervisor.items()):
                 led.counters[f"supervisor.{kind}"] = count
             led.traps = {

@@ -138,6 +138,10 @@ class PipelinedSimulator:
         #: optional :class:`repro.obs.profile.Profiler`; receives exactly
         #: one per-PC attribution per cycle while attached.
         self.profiler = None
+        #: optional :class:`repro.faults.prune.AccessIndex`, attached only
+        #: while it records a golden run: notes each fetch at its IF
+        #: cycle and each execution at its EX-entry cycle.
+        self.accesses = None
         self._flush_refill = 0   # bubble cycles still owed to a flush
         self._flush_pc = 0       # PC of the branch/trap that caused them
         self._flush_instr = None
@@ -185,6 +189,8 @@ class PipelinedSimulator:
                 stat = static_effects(instr)
             except EncodingError:
                 instr, words, stat = None, 1, None
+        if self.accesses is not None:
+            self.accesses.note_fetch(self.stats.cycles - 1, pc, words)
         if instr is None:
             # Wrong-path fetch of data; becomes an error only if executed.
             self._fetch_pc = (pc + 1) & 0xFFFF
@@ -338,6 +344,9 @@ class PipelinedSimulator:
             if entering is not None and not entering.executed:
                 self.machine.pc = entering.pc
                 entering.executed = True
+                if self.accesses is not None and entering.instr is not None:
+                    self.accesses.note_execute(self.stats.cycles - 1,
+                                               self.machine, entering.instr)
                 if prof is not None:
                     prof.attribute(entering.pc, "issue", instr=entering.instr)
                     prof.current_pc = entering.pc

@@ -145,14 +145,14 @@ def golden_run(program, sim: str = "functional", ways: int = 8,
                accesses: AccessIndex | None = None) -> tuple[tuple, int]:
     """Fault-free reference execution: (architectural result, steps).
 
-    Given an :class:`~repro.faults.prune.AccessIndex`, a functional or
-    multicycle golden run records every location access into it as it
-    executes (the pipelined sim's steps are cycles: it records nothing,
-    so the index stays unable to prune).
+    Given an :class:`~repro.faults.prune.AccessIndex`, the golden run
+    records every location access into it as it executes, stamped with
+    the step it happens at -- on the pipelined sim, the cycle: IF for
+    fetched words, EX entry for register and memory state.
     """
     reference = _new_simulator(sim, ways, None, qat_backend=qat_backend)
     reference.load(program)
-    if accesses is not None and sim != "pipelined":
+    if accesses is not None:
         steps = accesses.record(reference)
     else:
         steps = _drive(reference, None, sys.maxsize)
@@ -472,11 +472,11 @@ def run_campaign(
 
     Every run gets its own simulator and a per-run fault plan seeded
     from ``seed`` and the run index, so the whole campaign is a pure
-    function of its arguments.  The functional and multicycle golden
-    runs record an :class:`~repro.faults.prune.AccessIndex`; a run whose
-    every flip the golden run overwrites unread (or never reads again,
-    outside the result GPRs) is settled ``masked`` here, before any
-    fan-out, exactly as its simulation would classify it.  The
+    function of its arguments.  The golden run records an
+    :class:`~repro.faults.prune.AccessIndex`; a run whose every flip
+    the golden run overwrites unread (or never reads again, outside the
+    result GPRs) is settled ``masked`` here, before any fan-out,
+    exactly as its simulation would classify it.  The
     process-global pattern stores are reset first so chunk interning
     from earlier work (or an earlier campaign) can never bleed into
     this one's RE-backed runs.  On the

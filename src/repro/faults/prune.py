@@ -27,10 +27,19 @@ A step that both reads and writes a location counts as a read.  Final
 GPRs are observed (they are the run's result, and the halting ``sys``
 reads only ``$rv``); final Qat registers and memory are not.  The index
 declines to prune anything -- :attr:`AccessIndex.live` stays False --
-when the golden run trapped or issued a ``sys`` service other than 0-4,
-and it is never recorded for the pipelined simulator, whose steps are
-cycles rather than instructions.  ``pc`` and ``latch`` events are never
-pruned.
+when the golden run trapped or issued a ``sys`` service other than 0-4.
+``pc`` and ``latch`` events are never pruned.
+
+One access model runs on two clocks.  A functional or multicycle step
+is one instruction: it fetches and executes at the same step.  A
+pipelined step is a cycle, and an instruction's accesses fall on two of
+them: its word(s) are read at the cycle IF decodes them (wrong-path
+fetches included), its registers, Qat registers and memory at the cycle
+it enters EX, where the pipeline changes all architectural state.  The
+pipeline notes both itself
+(:attr:`repro.cpu.pipeline.PipelinedSimulator.accesses`), so a flip that
+lands between an instruction's IF and its EX entry -- an interlock can
+hold it in ID for cycles -- is placed against the read that sees it.
 """
 
 from __future__ import annotations
@@ -40,6 +49,7 @@ from bisect import bisect_left
 
 from repro.cpu import fastpath as _fastpath
 from repro.cpu.exec_core import static_effects
+from repro.cpu.pipeline import PipelinedSimulator
 from repro.cpu.syscalls import (
     PRINT_CHAR,
     PRINT_INT,
@@ -75,6 +85,7 @@ class AccessIndex:
         #: True once a trap-free golden run with only known ``sys``
         #: services has been recorded; :meth:`masked` is False until then
         self.live = False
+        self._known = True
 
     def _note(self, target: str, index: int, step: int, write: bool) -> None:
         entry = self.accesses.get((target, index))
@@ -84,18 +95,19 @@ class AccessIndex:
             entry[0].append(step)
             entry[1].append(write)
 
-    def _note_step(self, step: int, machine) -> bool:
-        """Record the accesses of the instruction about to execute;
-        False when it will trap on decode or is a ``sys`` service the
-        index does not model."""
-        note = self._note
-        mem, regs, pc = machine.mem, machine.regs, machine.pc
-        try:
-            instr, words = decode(mem, pc)
-        except EncodingError:
-            return False  # the step traps: the run has nothing to prune
+    def note_fetch(self, step: int, pc: int, words: int) -> None:
+        """Record an instruction fetch at ``step``: ``words`` words read
+        from ``pc`` (one for a word that does not decode)."""
         for offset in range(words):
-            note("mem", (pc + offset) & 0xFFFF, step, False)
+            self._note("mem", (pc + offset) & 0xFFFF, step, False)
+
+    def note_execute(self, step: int, machine, instr) -> None:
+        """Record the state accesses of ``instr`` executing at ``step``
+        on ``machine``, whose registers and memory are still as the
+        instruction finds them.  A ``sys`` service the index does not
+        model leaves it unable to prune."""
+        note = self._note
+        regs = machine.regs
         effects = static_effects(instr)
         m = instr.mnemonic
         for reg in effects.reads_gpr:
@@ -109,13 +121,15 @@ class AccessIndex:
         elif m == "sys":
             service = int(regs[RV])
             if service not in _KNOWN_SERVICES:
-                return False
+                self._known = False
+                return
             note("gpr", RV, step, False)
             if service in _PRINTS:
                 note("gpr", 0, step, False)
             elif service == READ_CYCLES:
                 note("gpr", 0, step, True)
             if service == PRINT_STRING:
+                mem = machine.mem
                 addr = int(regs[0])
                 for _ in range(_STRING_GUARD):
                     note("mem", addr, step, False)
@@ -126,20 +140,39 @@ class AccessIndex:
             note("gpr", reg, step, True)
         for reg in effects.writes_qreg:
             note("qreg", reg, step, True)
-        return True
 
     def record(self, sim) -> int:
-        """Run ``sim`` (functional or multicycle, program loaded) to halt
-        one instruction at a time, recording every access; returns the
-        step count.  Each step executes on :func:`repro.cpu.fastpath.drive`,
-        the engine a plain golden run uses."""
+        """Run ``sim`` (program loaded) to halt, recording every access;
+        returns the step count.
+
+        The functional and multicycle sims run one instruction per step
+        on :func:`repro.cpu.fastpath.drive`, the engine a plain golden
+        run uses, and each step fetches and executes.  The pipelined sim
+        steps cycles on :func:`~repro.cpu.fastpath.run_stepped` with the
+        index attached as its ``accesses`` observer: it notes each fetch
+        at the cycle IF decodes it and each execution at the cycle the
+        instruction enters EX."""
         machine = sim.machine
-        known = True
-        step = 0
-        while not machine.halted:
-            known = self._note_step(step, machine) and known
-            step = _fastpath.drive(sim, sys.maxsize, step, step + 1)
-        self.live = known and not machine.traps
+        self._known = True
+        if isinstance(sim, PipelinedSimulator):
+            sim.accesses = self
+            try:
+                step = _fastpath.run_stepped(sim, sys.maxsize)
+            finally:
+                sim.accesses = None
+        else:
+            step = 0
+            while not machine.halted:
+                pc = machine.pc
+                try:
+                    instr, words = decode(machine.mem, pc)
+                except EncodingError:
+                    self._known = False  # the step traps
+                else:
+                    self.note_fetch(step, pc, words)
+                    self.note_execute(step, machine, instr)
+                step = _fastpath.drive(sim, sys.maxsize, step, step + 1)
+        self.live = self._known and not machine.traps
         return step
 
     def masked(self, plan) -> bool:

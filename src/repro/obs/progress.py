@@ -85,6 +85,8 @@ class ProgressTracker:
         self.t0 = clock()
         self.done = 0
         self.steps = 0
+        #: items completed without running on any worker (note_settled)
+        self.settled = 0
         #: worker id -> {"items", "busy_seconds", "steps"}
         self.workers: dict[int, dict] = {}
         #: supervisor event kind -> count (retries, timeouts, crashes,
@@ -123,9 +125,11 @@ class ProgressTracker:
 
     def note_settled(self) -> None:
         """One item completed without running on any worker (a campaign
-        run pruned before fan-out): it counts toward ``done`` only, so
-        worker tallies and stragglers describe work that ran."""
+        run pruned before fan-out): it counts toward ``done`` and
+        ``settled`` only, so worker tallies and stragglers describe work
+        that ran."""
         self.done += 1
+        self.settled += 1
         self._wall = self.clock() - self.t0
 
     def note_supervisor(self, kind: str) -> None:

@@ -228,6 +228,20 @@ class TestCliRecording:
         assert "2 run(s)" in out
         assert "cpu.instructions" in out
 
+    def test_faults_row_counts_pruned_runs_without_stats(self, capsys):
+        campaign = ["faults", "--seed", "7", "--runs", "20",
+                    "--sim", "pipelined"]
+        assert main(campaign + ["--no-ledger"]) == 0
+        unrecorded = capsys.readouterr().out
+        assert main(campaign) == 0
+        assert capsys.readouterr().out == unrecorded
+        with self._ledger() as ledger:
+            (run,) = ledger.runs(label="faults.fig10.pipelined.dense")
+            assert run.counters["faults.pruned"] == 13
+            assert run.counters["faults.masked"] == 13
+        assert main(["report", "--label", "faults.fig10.pipelined.dense"]) == 0
+        assert "faults.pruned" in capsys.readouterr().out
+
     def test_report_compare_dense_vs_re_export_stable(self, capsys):
         assert main(["fig10"]) == 0
         assert main(["fig10", "--qat-backend", "re"]) == 0

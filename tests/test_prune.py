@@ -15,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cpu import PipelineConfig, PipelinedSimulator
+from repro.errors import ReproError
 from repro.faults import campaign
 from repro.faults.campaign import golden_run, run_campaign
 from repro.faults.inject import FaultEvent, FaultPlan
@@ -95,7 +97,7 @@ class TestPrunedRunsMatchSimulation:
                         faults_per_run=2, targets=ALL_TARGETS)
         assert pruned > 0
 
-    @pytest.mark.parametrize("sim", ["functional", "multicycle"])
+    @pytest.mark.parametrize("sim", ["functional", "multicycle", "pipelined"])
     def test_fig10_re_24_ways(self, sim):
         strategies = _FUNCTIONAL if sim == "functional" else _IN_PROCESS
         pruned = _check("fig10", 20, 60, strategies, sim=sim, ways=24,
@@ -154,9 +156,12 @@ class TestPrunedRunsMatchSimulation:
                             targets=("gpr", "mem"))
         assert pruned > 0
 
-    def test_pipelined_campaigns_prune_nothing(self):
-        _, pruned, _ = _oracle("fig10", 32, 7, sim="pipelined")
-        assert pruned == []
+    @pytest.mark.parametrize("faults_per_run", [1, 3])
+    def test_fig10_pipelined_dense(self, faults_per_run):
+        pruned = _check("fig10", 64, 100 + faults_per_run, _IN_PROCESS,
+                        sim="pipelined", faults_per_run=faults_per_run,
+                        targets=ALL_TARGETS + ("latch",))
+        assert pruned > 0
 
 
 def _random_campaign_program(data) -> list[int]:
@@ -200,7 +205,8 @@ class TestRandomPrograms:
     @given(st.data(),
            st.sampled_from([("functional", {}), ("functional", {"batch": 8}),
                             ("functional", {"jobs": 2}),
-                            ("multicycle", {})]),
+                            ("multicycle", {}), ("pipelined", {}),
+                            ("pipelined", {"jobs": 2})]),
            st.sampled_from(["dense", "re"]),
            st.integers(1, 3),
            st.integers(0, 2**16))
@@ -212,6 +218,152 @@ class TestRandomPrograms:
             _check(_UNDER_TEST, 16, seed, ({}, strategy), sim=sim, ways=6,
                    qat_backend=qat_backend, faults_per_run=faults_per_run,
                    targets=ALL_TARGETS)
+
+
+#: The pipeline configurations the cycle-stamped index must be sound
+#: on: 4- and 5-stage, forwarding on and off, and the single Qat write
+#: port ablation (``qswap``/``qcswap`` hold EX for a second cycle).
+_PIPELINE_CONFIGS = (
+    PipelineConfig(stages=4),
+    PipelineConfig(stages=4, forwarding=False),
+    PipelineConfig(stages=5),
+    PipelineConfig(stages=5, forwarding=False),
+    PipelineConfig(stages=4, second_qat_write_port=False),
+    PipelineConfig(stages=5, forwarding=False, second_qat_write_port=False),
+)
+
+
+def _pipeline(config: PipelineConfig, words) -> PipelinedSimulator:
+    sim = PipelinedSimulator(ways=6, config=config)
+    sim.load(words)
+    return sim
+
+
+def _recorded(config: PipelineConfig, words):
+    """The fault-free run's index and ``(architectural result, cycles)``."""
+    sim = _pipeline(config, words)
+    accesses = AccessIndex()
+    cycles = accesses.record(sim)
+    return accesses, (campaign._architectural_result(sim.machine), cycles)
+
+
+def _replay(config: PipelineConfig, words, plan: FaultPlan,
+            golden: tuple[tuple, int]) -> str:
+    """Outcome of ``plan`` driven directly on a ``config`` pipeline."""
+    result, cycles = golden
+    sim = _pipeline(config, words)
+    error = None
+    try:
+        campaign._drive(sim, plan, 4 * cycles + 64)
+    except ReproError as exc:
+        error = str(exc)
+    return campaign._classify(
+        0, plan, error, sim.machine.traps,
+        campaign._architectural_result(sim.machine), result)["outcome"]
+
+
+class _Stamps:
+    """Pipeline access observer noting each PC's first IF and EX-entry
+    cycle, independently of :class:`AccessIndex`."""
+
+    def __init__(self):
+        self.fetched: dict[int, int] = {}
+        self.entered: dict[int, int] = {}
+
+    def note_fetch(self, step, pc, words):
+        self.fetched.setdefault(pc, step)
+
+    def note_execute(self, step, machine, instr):
+        self.entered.setdefault(machine.pc, step)
+
+
+def _stamps(config: PipelineConfig, words) -> _Stamps:
+    sim = _pipeline(config, words)
+    sim.accesses = stamps = _Stamps()
+    campaign._drive(sim, None, 1 << 20)
+    return stamps
+
+
+class TestPipelineConfigs:
+    """The pipelined index on every pipeline shape.  Campaigns build the
+    default configuration only, so these drive the sims directly."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data(), st.integers(1, 2), st.integers(0, 2**16))
+    def test_pruned_plans_simulate_masked(self, data, faults_per_run, seed):
+        """Every plan the index prunes, drawn at random and as a sweep
+        of one GPR, memory word and Qat register over every cycle,
+        simulates ``masked`` on that configuration."""
+        words = _random_campaign_program(data)
+        gpr = data.draw(st.integers(0, 12))
+        word = data.draw(st.integers(0, len(words) + 7))
+        qreg = data.draw(st.integers(0, 7))
+        bit = data.draw(st.integers(0, 15))
+        mem_span = max(64, 2 * len(words))
+        for config in _PIPELINE_CONFIGS:
+            accesses, golden = _recorded(config, words)
+            cycles = golden[1]
+            plans = [FaultPlan.from_seed(seed + run, faults_per_run,
+                                         max_step=cycles, ways=6,
+                                         mem_span=mem_span)
+                     for run in range(16)]
+            plans += [FaultPlan(0, (FaultEvent(step, target, index, 0, bit),))
+                      for step in range(cycles)
+                      for target, index in (("gpr", gpr), ("mem", word),
+                                            ("qreg", qreg))]
+            for plan in plans:
+                if accesses.masked(plan):
+                    assert _replay(config, words, plan, golden) == \
+                        "masked", (config, plan)
+
+    def test_flip_read_by_a_stalled_consumer_is_not_pruned(self):
+        """Without forwarding, ``add $1, $4`` waits in ID for ``$1``;
+        it reads ``$4`` when it finally enters EX, so a ``$4`` flip
+        anywhere between its IF and its EX entry is live."""
+        from repro.asm import assemble
+
+        config = PipelineConfig(stages=5, forwarding=False)
+        words = assemble("lex $4, 3\nlex $1, 5\nadd $1, $4\nlex $4, 0\n"
+                         "lex $rv, 0\nsys\n").words
+        stamps = _stamps(config, words)
+        fetched, entered = stamps.fetched[2], stamps.entered[2]
+        assert entered - fetched > 2  # held in ID by the interlock
+        accesses, golden = _recorded(config, words)
+        for step in range(fetched + 1, entered + 1):
+            plan = FaultPlan(0, (FaultEvent(step, "gpr", 4, 0, 0),))
+            assert not accesses.masked(plan), step
+            assert _replay(config, words, plan, golden) == "silent", step
+        # Once ``add`` has read it, ``lex $4, 0`` overwrites the flip.
+        plan = FaultPlan(0, (FaultEvent(entered + 1, "gpr", 4, 0, 0),))
+        assert accesses.masked(plan)
+        assert _replay(config, words, plan, golden) == "masked"
+
+    def test_words_flipped_between_fetch_and_execute_are_pruned(self):
+        """The pipeline decodes an instruction's word(s) at IF; a flip of
+        one while the instruction is still in flight is never read
+        again, whereas the same flip before IF changes the instruction.
+        Covers a one-word ``add`` and both words of a two-word ``and``,
+        whose second IF cycle already holds the decode."""
+        from repro.asm import assemble
+
+        config = PipelineConfig()
+        words = assemble("had @0, 3\nhad @1, 1\nand @2, @0, @1\n"
+                         "pop $1, @2\nlex $2, 7\nadd $1, $2\n"
+                         "lex $rv, 0\nsys\n").words
+        stamps = _stamps(config, words)
+        accesses, golden = _recorded(config, words)
+        # (instruction pc, flipped word, bit): add's source register,
+        # and's destination and first source register.
+        for pc, addr, bit in ((6, 6, 0), (2, 2, 0), (2, 3, 8)):
+            fetched, entered = stamps.fetched[pc], stamps.entered[pc]
+            assert fetched + 1 < entered
+            late = FaultPlan(0, (FaultEvent(fetched + 1, "mem", addr, 0,
+                                            bit),))
+            assert accesses.masked(late), addr
+            assert _replay(config, words, late, golden) == "masked", addr
+            early = FaultPlan(0, (FaultEvent(fetched, "mem", addr, 0, bit),))
+            assert not accesses.masked(early), addr
+            assert _replay(config, words, early, golden) == "silent", addr
 
 
 class TestAccessIndex:
@@ -253,31 +405,29 @@ class TestAccessIndex:
         assert not accesses.masked(self._plan((0, "pc", 0, 0, 0)))
         assert not accesses.masked(self._plan((0, "latch", 0, 0, 0)))
 
-    def test_pipelined_sim_unknown_service_or_trap_disables_pruning(self):
+    @pytest.mark.parametrize("sim_name", ["functional", "pipelined"])
+    def test_unknown_service_or_trap_disables_pruning(self, sim_name):
         from repro.asm import assemble
         from repro.faults.traps import TrapAction, TrapPolicy
 
-        program = assemble("lex $rv, 0\nsys\n")
-        accesses = AccessIndex()
-        golden_run(program, sim="pipelined", accesses=accesses)
-        assert not accesses.live
-        assert not accesses.masked(self._plan((0, "mem", 40, 0, 0)))
-
         # A service the index does not model, even one that runs fine.
-        sim = campaign._new_simulator("functional", 8, None)
+        sim = campaign._new_simulator(sim_name, 8, None)
         sim.syscalls.register(9, lambda machine: None)
         sim.load(assemble("lex $rv, 9\nsys\nlex $rv, 0\nsys\n"))
         accesses = AccessIndex()
-        assert accesses.record(sim) == 4
+        steps = accesses.record(sim)
+        assert steps == (4 if sim_name == "functional" else sim.stats.cycles)
         assert not sim.machine.traps and not accesses.live
+        assert not accesses.masked(self._plan((0, "mem", 40, 0, 0)))
 
         # A golden run that trapped (halted by policy, not by ``sys``).
         sim = campaign._new_simulator(
-            "functional", 8, TrapPolicy(default=TrapAction.HALT))
+            sim_name, 8, TrapPolicy(default=TrapAction.HALT))
         sim.load(assemble("lex $rv, 0\n.word 0xFFFF\n"))
         accesses = AccessIndex()
         accesses.record(sim)
         assert sim.machine.traps and not accesses.live
+        assert not accesses.masked(self._plan((0, "mem", 40, 0, 0)))
 
     def test_pruned_runs_are_settled_not_simulated(self, monkeypatch):
         simulated = []
