@@ -20,20 +20,21 @@ machine.  This module turns the machine axis into an *array* axis:
   re-reads the words each step).  Each group resolves its
   :class:`~repro.cpu.fastpath.Predecoded` entry through the same
   process-wide intern table as the fast path and dispatches a single
-  :data:`BATCH_HANDLERS` call with vectorized operands
-  (:data:`repro.cpu.exec_core.BATCH_EXEC` declares which mnemonics run
-  as one NumPy expression vs a per-lane loop).
-- **Per-lane traps**: trap semantics mirror
-  :func:`repro.faults.traps.deliver` exactly, lane by lane -- the
-  :class:`~repro.faults.traps.TrapRecord` (cause, pc, instruction,
-  cycle=None, instret, detail) is appended to the lane's ``traps``
-  list, and under the default ``raise`` policy the lane is **parked**
-  (removed from the active set) with ``errors[lane]`` holding the
-  ``str()`` of the exact :class:`~repro.errors.TrapError` /
-  :class:`~repro.errors.SyscallError` the serial simulator would have
-  raised, context suffix included.  ``halt`` and ``vector`` policies
-  update the lane architecturally and keep going.  A trapped
-  instruction never retires, exactly like the serial paths.
+  :data:`BATCH_HANDLERS` call: one NumPy expression over the group.
+- **The scalar handlers for everything else** (:func:`_b_scalar`): a
+  lane that does anything other than the vectorized common case runs
+  the scalar :data:`~repro.cpu.exec_core.FAST_HANDLERS` entry on a
+  :class:`LaneState` view of itself -- every trap, ``sys``,
+  ``recip``/``float``/``int``, undecodable words, the watchdog, and
+  fault events (:func:`repro.faults.inject.apply_event`).  Vector
+  handlers only mask the lanes the active trap-policy knob would trap
+  and hand those over unexecuted, so trap records, detail strings and
+  policy actions are the serial ones by construction.  Under the
+  default ``raise`` policy a trapped lane is **parked** (removed from
+  the active set) with ``errors[lane]`` holding the raised error's
+  ``str()``, exactly what a serial campaign run records; ``halt`` and
+  ``vector`` policies update the lane and it keeps going.  A trapped
+  instruction never retires.
 
 Flight-recorder semantics (documented batch-mode downgrade): trap,
 syscall, and fault-injection events are recorded per lane like the
@@ -60,16 +61,16 @@ from repro.aob import AoB
 from repro.aob.bitvector import MAX_DENSE_WAYS, QAT_WAYS
 from repro.aob.hadamard import hadamard_words
 from repro.aob import kernels
-from repro.bf16 import bf16_from_int, bf16_recip, bf16_to_int
 from repro.bf16 import vector as bf16_vec
 from repro.cpu import fastpath as _fastpath
-from repro.cpu.exec_core import BATCH_EXEC  # noqa: F401  (re-exported)
 from repro.cpu.qat_backend import MAX_RE_WAYS, REQatBackend
-from repro.errors import ReproError, SimulatorError, SyscallError, TrapError
-from repro.faults.traps import TrapAction, TrapCause, TrapPolicy, TrapRecord
+from repro.cpu.state import MachineState
+from repro.cpu.syscalls import SyscallHandler
+from repro.errors import ReproError, SimulatorError
+from repro.faults.inject import apply_event
+from repro.faults.traps import TrapCause, TrapDelivered, TrapPolicy
 from repro.isa.instructions import INSTRUCTIONS
-from repro.isa.registers import NUM_GPRS, NUM_QAT_REGS, RV
-from repro.obs import flight as _flight
+from repro.isa.registers import NUM_GPRS, NUM_QAT_REGS
 from repro.obs import runtime as _obs
 from repro.pattern import ChunkStore, PatternVector
 from repro.utils.bits import top_mask, words_for_bits
@@ -411,7 +412,7 @@ class BatchMachines:
         #: active set, with the would-be exception text in ``errors``
         self.parked = np.zeros(n, dtype=bool)
         self.output: list[list[str]] = [[] for _ in range(n)]
-        self.traps: list[list[TrapRecord]] = [[] for _ in range(n)]
+        self.traps: list[list] = [[] for _ in range(n)]
         self.errors: list[str | None] = [None] * n
         self.trap_policy = (
             trap_policy if trap_policy is not None else TrapPolicy()
@@ -435,53 +436,78 @@ class BatchMachines:
     def read_qreg(self, lane: int, reg: int) -> AoB:
         return self.qat.read(lane, reg)
 
-    def trap_lane(self, lane: int, cause: TrapCause, detail: str = "",
-                  instruction: str | None = None,
-                  resume_pc: int | None = None,
-                  service: int | None = None) -> None:
-        """Per-lane mirror of :func:`repro.faults.traps.deliver`.
+    def lane(self, i: int) -> "LaneState":
+        """Lane ``i`` as a :class:`MachineState` for the scalar code."""
+        return LaneState(self, i)
 
-        Same record, same recorder/metrics hooks, same policy actions --
-        except that the ``raise`` action *parks* the lane (recording the
-        exact exception text the serial simulator would have raised)
-        instead of raising, so the other lanes keep stepping.
+    def on_lane(self, i: int, action, *args) -> None:
+        """Run ``action(view, *args)`` on lane ``i``'s :meth:`lane` view.
+
+        The view's pc, instret and halted flag are written back after
+        it.  A trap that the halt/vector policy delivered has already
+        updated the view; one that raised (a :class:`ReproError`) parks
+        the lane with the error's text, as a serial campaign run
+        records it.
         """
-        policy = self.trap_policy
-        record = TrapRecord(
-            cause=cause,
-            pc=int(self.pc[lane]),
-            instruction=instruction,
-            cycle=None,
-            instret=int(self.instret[lane]),
-            detail=detail,
-        )
-        self.traps[lane].append(record)
-        if _flight.RECORDER.enabled:
-            _flight.RECORDER.note_trap(record.pc, cause.value, None,
-                                       record.instret, detail)
-        if _obs.active:
-            _obs.current().metrics.counter(f"traps.{cause.value}").inc()
+        view = self.lane(i)
+        try:
+            action(view, *args)
+        except TrapDelivered:
+            pass
+        except ReproError as exc:
+            self.errors[i] = str(exc)
+            self.parked[i] = True
+        self.pc[i] = view.pc
+        self.instret[i] = view.instret
+        self.halted[i] = view.halted
 
-        action = policy.action_for(cause)
-        if action is TrapAction.RAISE:
-            message = detail or f"trap: {cause.value}"
-            context = {"pc": record.pc, "cycle": None,
-                       "instruction": instruction}
-            if service is not None:
-                exc = SyscallError(message, service=service, record=record,
-                                   **context)
-            else:
-                exc = TrapError(message, record=record, **context)
-            self.errors[lane] = str(exc)
-            self.parked[lane] = True
-        elif action is TrapAction.HALT:
-            self.halted[lane] = True
-        else:  # VECTOR
-            if resume_pc is None:
-                resume_pc = (int(self.pc[lane]) + 1) & 0xFFFF
-            self.regs[lane, policy.cause_reg] = cause.code & 0xFFFF
-            self.regs[lane, policy.epc_reg] = resume_pc & 0xFFFF
-            self.pc[lane] = policy.handler_for(cause)
+
+class _LaneQat:
+    """What scalar code reaches of a batch substrate on one lane.
+
+    Only a ``qreg`` fault flip and strict ``qpop``'s overflow probe get
+    here; every other Qat operation runs vectorized.
+    """
+
+    __slots__ = ("qat", "lane")
+
+    def __init__(self, qat, lane: int):
+        self.qat = qat
+        self.lane = lane
+
+    def flip_bit(self, reg: int, word: int, bit: int) -> None:
+        self.qat.flip_bit(self.lane, reg, word, bit)
+
+    def pop_after(self, reg: int, channel: int) -> int:
+        return int(self.qat.pop_after([self.lane], reg, [channel])[0])
+
+
+class LaneState(MachineState):
+    """Lane ``lane`` of ``bm`` as a :class:`MachineState`.
+
+    ``regs`` and ``mem`` are the lane's rows, so writes land in the
+    batch; ``output``, ``traps`` and ``trap_policy`` are the lane's own
+    objects; ``pc``, ``instret`` and ``halted`` are copies that
+    :meth:`BatchMachines.on_lane` writes back.  There is no clock
+    (``sys`` service 3 reads 0, trap records carry no cycle) and no
+    predecode cache (the batch loop re-fetches every step).
+    """
+
+    def __init__(self, bm: BatchMachines, lane: int):
+        # Not MachineState.__init__: it would allocate a whole machine.
+        self.qat = _LaneQat(bm.qat, lane)
+        self.ways = bm.ways
+        self.nbits = bm.nbits
+        self.regs = bm.regs[lane]
+        self.mem = bm.mem[lane]
+        self.pc = int(bm.pc[lane])
+        self.halted = bool(bm.halted[lane])
+        self.output = bm.output[lane]
+        self.instret = int(bm.instret[lane])
+        self.trap_policy = bm.trap_policy
+        self.traps = bm.traps[lane]
+        self.cycle_provider = None
+        self._predecode = None
 
 
 # ---------------------------------------------------------------------------
@@ -494,17 +520,33 @@ class BatchMachines:
 # ``bm.retire(lanes, next_pc)`` (branches pass their redirected
 # targets); lanes that trap never retire, mirroring the serial paths.
 
-def _trap_group(bm, entry, lanes, pc_next, cause, details,
-                instruction=None, services=None) -> None:
-    """Deliver one trap per lane (``details`` is per-lane or shared)."""
-    for i, lane in enumerate(lanes):
-        bm.trap_lane(
-            int(lane), cause,
-            detail=details[i] if isinstance(details, list) else details,
-            instruction=instruction,
-            resume_pc=int(pc_next[i]),
-            service=None if services is None else services[i],
-        )
+#: ``sys`` services for every lane; without a cycle source service 3
+#: reads 0, as on the functional simulator
+_SYSCALLS = SyscallHandler()
+
+
+def _scalar_step(view, entry, pc_next: int) -> None:
+    """One step of ``entry`` on a lane view, as :func:`fastpath.run` takes it."""
+    if entry.handler is None:
+        view.trap(TrapCause.ILLEGAL_OPCODE, detail=entry.error)
+    view.pc = entry.handler(view, entry.instr, entry.ops, pc_next, _SYSCALLS)
+    view.instret += 1
+
+
+def _b_scalar(bm, entry, lanes, pc_next):
+    """Run ``entry`` lane by lane on its scalar handler."""
+    for lane, nxt in zip(lanes.tolist(), pc_next.tolist()):
+        bm.on_lane(lane, _scalar_step, entry, nxt)
+
+
+def _split(bm, entry, lanes, pc_next, trap, *values):
+    """Hand the lanes ``trap`` marks to :func:`_b_scalar`, where their
+    trap fires; return the other lanes, their ``pc_next`` and ``values``."""
+    if not trap.any():
+        return (lanes, pc_next, *values)
+    _b_scalar(bm, entry, lanes[trap], pc_next[trap])
+    keep = ~trap
+    return (lanes[keep], pc_next[keep], *(v[keep] for v in values))
 
 
 def _b_add(bm, entry, lanes, pc_next):
@@ -610,161 +652,55 @@ def _b_jumpr(bm, entry, lanes, pc_next):
     bm.retire(lanes, bm.regs[lanes, entry.ops[0]].astype(np.int64))
 
 
-def _b_load(bm, entry, lanes, pc_next):
-    d, s = entry.ops[0], entry.ops[1]
-    addr = bm.regs[lanes, s].astype(np.int64)
+def _fenced(bm, entry, lanes, pc_next):
+    """Addresses of a load/store group; lanes beyond the fence go scalar."""
+    addr = bm.regs[lanes, entry.ops[1]].astype(np.int64)
     fence = bm.trap_policy.mem_fence
-    if fence is not None:
-        bad = addr >= fence
-        if bad.any():
-            _trap_group(
-                bm, entry, lanes[bad], pc_next[bad], TrapCause.MEM_FAULT,
-                [f"load from {int(a):#06x} beyond fence {fence:#06x}"
-                 for a in addr[bad]],
-                instruction=entry.instr.render(),
-            )
-            good = ~bad
-            lanes, pc_next, addr = lanes[good], pc_next[good], addr[good]
-            if lanes.size == 0:
-                return
-    bm.regs[lanes, d] = bm.mem[lanes, addr]
+    if fence is None:
+        return lanes, pc_next, addr
+    return _split(bm, entry, lanes, pc_next, addr >= fence, addr)
+
+
+def _b_load(bm, entry, lanes, pc_next):
+    lanes, pc_next, addr = _fenced(bm, entry, lanes, pc_next)
+    bm.regs[lanes, entry.ops[0]] = bm.mem[lanes, addr]
     bm.retire(lanes, pc_next)
 
 
 def _b_store(bm, entry, lanes, pc_next):
-    d, s = entry.ops[0], entry.ops[1]
-    addr = bm.regs[lanes, s].astype(np.int64)
-    fence = bm.trap_policy.mem_fence
-    if fence is not None:
-        bad = addr >= fence
-        if bad.any():
-            _trap_group(
-                bm, entry, lanes[bad], pc_next[bad], TrapCause.MEM_FAULT,
-                [f"store to {int(a):#06x} beyond fence {fence:#06x}"
-                 for a in addr[bad]],
-                instruction=entry.instr.render(),
-            )
-            good = ~bad
-            lanes, pc_next, addr = lanes[good], pc_next[good], addr[good]
-            if lanes.size == 0:
-                return
-    bm.mem[lanes, addr] = bm.regs[lanes, d]
+    lanes, pc_next, addr = _fenced(bm, entry, lanes, pc_next)
+    bm.mem[lanes, addr] = bm.regs[lanes, entry.ops[0]]
     bm.retire(lanes, pc_next)
 
 
-def _finish_bf16(bm, entry, lanes, pc_next, d, result, mnemonic):
-    """Shared non-finite check + writeback for addf/mulf/recip."""
+def _finish_bf16(bm, entry, lanes, pc_next, result):
+    """Write back an ``addf``/``mulf`` result; under ``trap_bf16`` the
+    lanes whose result is non-finite go scalar."""
+    result = result.astype(np.uint16)
     if bm.trap_policy.trap_bf16:
-        bad = (result & _BF16_EXP_MASK) == _BF16_EXP_MASK
-        if bad.any():
-            _trap_group(
-                bm, entry, lanes[bad], pc_next[bad], TrapCause.BF16_FAULT,
-                [f"{mnemonic} produced non-finite bf16 {int(r):#06x}"
-                 for r in result[bad]],
-                instruction=entry.instr.render(),
-            )
-            good = ~bad
-            lanes, pc_next, result = lanes[good], pc_next[good], result[good]
-            if lanes.size == 0:
-                return
-    bm.regs[lanes, d] = result
+        lanes, pc_next, result = _split(
+            bm, entry, lanes, pc_next,
+            (result & _BF16_EXP_MASK) == _BF16_EXP_MASK, result)
+    bm.regs[lanes, entry.ops[0]] = result
     bm.retire(lanes, pc_next)
 
 
 def _b_addf(bm, entry, lanes, pc_next):
     d, s = entry.ops[0], entry.ops[1]
-    result = bf16_vec.add(bm.regs[lanes, d], bm.regs[lanes, s])
-    _finish_bf16(bm, entry, lanes, pc_next, d,
-                 result.astype(np.uint16), "addf")
+    _finish_bf16(bm, entry, lanes, pc_next,
+                 bf16_vec.add(bm.regs[lanes, d], bm.regs[lanes, s]))
 
 
 def _b_mulf(bm, entry, lanes, pc_next):
     d, s = entry.ops[0], entry.ops[1]
-    result = bf16_vec.mul(bm.regs[lanes, d], bm.regs[lanes, s])
-    _finish_bf16(bm, entry, lanes, pc_next, d,
-                 result.astype(np.uint16), "mulf")
+    _finish_bf16(bm, entry, lanes, pc_next,
+                 bf16_vec.mul(bm.regs[lanes, d], bm.regs[lanes, s]))
 
 
 def _b_negf(bm, entry, lanes, pc_next):
     d = entry.ops[0]
     bm.regs[lanes, d] = bf16_vec.neg(bm.regs[lanes, d]).astype(np.uint16)
     bm.retire(lanes, pc_next)
-
-
-def _b_recip(bm, entry, lanes, pc_next):
-    d = entry.ops[0]
-    result = np.array(
-        [bf16_recip(int(v)) & 0xFFFF for v in bm.regs[lanes, d]],
-        dtype=np.uint16,
-    )
-    _finish_bf16(bm, entry, lanes, pc_next, d, result, "recip")
-
-
-def _b_float(bm, entry, lanes, pc_next):
-    d = entry.ops[0]
-    bm.regs[lanes, d] = np.array(
-        [bf16_from_int(int(v)) & 0xFFFF for v in bm.regs[lanes, d]],
-        dtype=np.uint16,
-    )
-    bm.retire(lanes, pc_next)
-
-
-def _b_int(bm, entry, lanes, pc_next):
-    d = entry.ops[0]
-    bm.regs[lanes, d] = np.array(
-        [bf16_to_int(int(v)) & 0xFFFF for v in bm.regs[lanes, d]],
-        dtype=np.uint16,
-    )
-    bm.retire(lanes, pc_next)
-
-
-def _b_sys(bm, entry, lanes, pc_next):
-    recorder = _flight.RECORDER
-    keep = []
-    for i in range(len(lanes)):
-        lane = int(lanes[i])
-        service = int(bm.regs[lane, RV])
-        # machine.pc still addresses the ``sys`` word here, exactly as
-        # in SyscallHandler.handle (the serial slow and fast paths).
-        if recorder.enabled:
-            recorder.note_syscall(int(bm.pc[lane]), service)
-        if service == 0:
-            bm.halted[lane] = True
-        elif service == 1:
-            value = int(bm.regs[lane, 0])
-            if value >= 0x8000:
-                value -= 0x10000
-            bm.output[lane].append(str(value))
-        elif service == 2:
-            bm.output[lane].append(chr(int(bm.regs[lane, 0]) & 0xFF))
-        elif service == 3:
-            # The batch simulator is untimed: like the functional
-            # simulator's default SyscallHandler, the counter reads 0.
-            bm.regs[lane, 0] = 0
-        elif service == 4:
-            addr = int(bm.regs[lane, 0])
-            row = bm.mem[lane]
-            chars = []
-            for _ in range(4096):  # runaway guard
-                code = int(row[addr])
-                if code == 0:
-                    break
-                chars.append(chr(code & 0xFF))
-                addr = (addr + 1) & 0xFFFF
-            bm.output[lane].append("".join(chars))
-        else:
-            bm.trap_lane(
-                lane, TrapCause.UNKNOWN_SYSCALL,
-                detail=f"unknown sys service {service}",
-                instruction="sys",
-                resume_pc=int(pc_next[i]),
-                service=service,
-            )
-            continue
-        keep.append(i)
-    if keep:
-        kept = np.asarray(keep)
-        bm.retire(lanes[kept], pc_next[kept])
 
 
 def _b_qand(bm, entry, lanes, pc_next):
@@ -819,82 +755,41 @@ def _b_qone(bm, entry, lanes, pc_next):
 
 def _b_qhad(bm, entry, lanes, pc_next):
     if bm.trap_policy.strict_qat and entry.ops[1] >= bm.ways:
-        _trap_group(
-            bm, entry, lanes, pc_next, TrapCause.QAT_FAULT,
-            f"had k={entry.ops[1]} exceeds {bm.ways}-way entanglement",
-            instruction=entry.instr.render(),
-        )
+        _b_scalar(bm, entry, lanes, pc_next)
         return
     bm.qat.had(lanes, entry.ops[0], entry.ops[1])
     bm.retire(lanes, pc_next)
 
 
-def _strict_channels(bm, entry, lanes, pc_next, channels):
-    """Split off lanes whose channel operand is out of range (strict)."""
-    bad = channels >= bm.nbits
-    if bad.any():
-        _trap_group(
-            bm, entry, lanes[bad], pc_next[bad], TrapCause.QAT_FAULT,
-            [f"channel {int(ch)} out of range for {bm.nbits}-channel AoB"
-             for ch in channels[bad]],
-            instruction=entry.instr.render(),
-        )
-        good = ~bad
-        return lanes[good], pc_next[good], channels[good]
-    return lanes, pc_next, channels
+def _channels(bm, entry, lanes, pc_next):
+    """Channel operands of a meas/next/pop group; under ``strict_qat``
+    the lanes whose channel is out of range go scalar."""
+    channels = bm.regs[lanes, entry.ops[0]].astype(np.int64)
+    if not bm.trap_policy.strict_qat:
+        return lanes, pc_next, channels
+    return _split(bm, entry, lanes, pc_next, channels >= bm.nbits, channels)
 
 
 def _b_qmeas(bm, entry, lanes, pc_next):
-    d, a = entry.ops[0], entry.ops[1]
-    channels = bm.regs[lanes, d].astype(np.int64)
-    if bm.trap_policy.strict_qat:
-        lanes, pc_next, channels = _strict_channels(
-            bm, entry, lanes, pc_next, channels)
-        if lanes.size == 0:
-            return
-    bm.regs[lanes, d] = bm.qat.meas(lanes, a, channels)
+    lanes, pc_next, channels = _channels(bm, entry, lanes, pc_next)
+    bm.regs[lanes, entry.ops[0]] = bm.qat.meas(lanes, entry.ops[1], channels)
     bm.retire(lanes, pc_next)
 
 
 def _b_qnext(bm, entry, lanes, pc_next):
-    d, a = entry.ops[0], entry.ops[1]
-    channels = bm.regs[lanes, d].astype(np.int64)
-    if bm.trap_policy.strict_qat:
-        lanes, pc_next, channels = _strict_channels(
-            bm, entry, lanes, pc_next, channels)
-        if lanes.size == 0:
-            return
-    values = bm.qat.next(lanes, a, channels)
-    bm.regs[lanes, d] = (values & 0xFFFF).astype(np.uint16)
+    lanes, pc_next, channels = _channels(bm, entry, lanes, pc_next)
+    values = bm.qat.next(lanes, entry.ops[1], channels)
+    bm.regs[lanes, entry.ops[0]] = (values & 0xFFFF).astype(np.uint16)
     bm.retire(lanes, pc_next)
 
 
 def _b_qpop(bm, entry, lanes, pc_next):
-    d, a = entry.ops[0], entry.ops[1]
-    channels = bm.regs[lanes, d].astype(np.int64)
+    lanes, pc_next, channels = _channels(bm, entry, lanes, pc_next)
+    values = bm.qat.pop_after(lanes, entry.ops[1], channels)
     if bm.trap_policy.strict_qat:
-        lanes, pc_next, channels = _strict_channels(
-            bm, entry, lanes, pc_next, channels)
-        if lanes.size == 0:
-            return
-    values = bm.qat.pop_after(lanes, a, channels)
-    over = values > 0xFFFF
-    if over.any():
-        if bm.trap_policy.strict_qat:
-            _trap_group(
-                bm, entry, lanes[over], pc_next[over], TrapCause.QAT_FAULT,
-                [f"pop after channel {int(ch)} counted {int(v)} "
-                 f"ones, exceeding the 16-bit destination"
-                 for ch, v in zip(channels[over], values[over])],
-                instruction=entry.instr.render(),
-            )
-            good = ~over
-            lanes, pc_next, values = lanes[good], pc_next[good], values[good]
-            if lanes.size == 0:
-                return
-        else:
-            values = np.minimum(values, 0xFFFF)
-    bm.regs[lanes, d] = values.astype(np.uint16)
+        lanes, pc_next, values = _split(bm, entry, lanes, pc_next,
+                                        values > 0xFFFF, values)
+    bm.regs[lanes, entry.ops[0]] = np.minimum(values, 0xFFFF).astype(np.uint16)
     bm.retire(lanes, pc_next)
 
 
@@ -906,8 +801,8 @@ BATCH_HANDLERS = {
     "brf": _b_brf,
     "brt": _b_brt,
     "copy": _b_copy,
-    "float": _b_float,
-    "int": _b_int,
+    "float": _b_scalar,
+    "int": _b_scalar,
     "jumpr": _b_jumpr,
     "lex": _b_lex,
     "lhi": _b_lhi,
@@ -918,11 +813,11 @@ BATCH_HANDLERS = {
     "negf": _b_negf,
     "not": _b_not,
     "or": _b_or,
-    "recip": _b_recip,
+    "recip": _b_scalar,
     "shift": _b_shift,
     "slt": _b_slt,
     "store": _b_store,
-    "sys": _b_sys,
+    "sys": _b_scalar,
     "xor": _b_xor,
     "qand": _b_qand,
     "qccnot": _b_qccnot,
@@ -945,38 +840,17 @@ assert set(BATCH_HANDLERS) == set(INSTRUCTIONS), \
 
 
 # ---------------------------------------------------------------------------
-# Fault injection (per-lane mirror of repro.faults.inject.apply_event)
+# Fault injection
 # ---------------------------------------------------------------------------
 
 def apply_lane_event(bm: BatchMachines, lane: int, event) -> None:
-    """Flip the bit ``event`` names in lane ``lane`` of ``bm``.
+    """Flip the bit ``event`` names in lane ``lane`` of ``bm``:
+    :func:`repro.faults.inject.apply_event` on the lane's view.
 
-    Mirrors :func:`repro.faults.inject.apply_event` (recorder note,
-    metrics counter, then the architectural flip).  There is no
-    predecode cache to invalidate -- the batch loop re-fetches the raw
-    instruction words every step -- and ``latch`` events degrade to an
-    architectural PC flip exactly as they do on the serial functional
-    simulator.
+    ``latch`` events degrade to an architectural PC flip exactly as
+    they do on the serial functional simulator.
     """
-    if _flight.RECORDER.enabled:
-        _flight.RECORDER.note_fault(
-            event.target,
-            f"step={event.step} index={event.index} "
-            f"word={event.word} bit={event.bit}",
-        )
-    if _obs.active:
-        _obs.current().metrics.counter(
-            f"faults.injected.{event.target}").inc()
-    if event.target == "gpr":
-        bm.regs[lane, event.index] ^= np.uint16(1 << event.bit)
-    elif event.target == "mem":
-        bm.mem[lane, event.index] ^= np.uint16(1 << event.bit)
-    elif event.target == "qreg":
-        bm.qat.flip_bit(lane, event.index, event.word, event.bit)
-    elif event.target in ("pc", "latch"):
-        bm.pc[lane] ^= 1 << event.bit
-    else:
-        raise ReproError(f"unknown fault target {event.target!r}")
+    bm.on_lane(lane, apply_event, event)
 
 
 # ---------------------------------------------------------------------------
@@ -990,7 +864,8 @@ class BatchFunctionalSimulator:
     by the raw instruction word(s) under their PC, each group's
     :class:`~repro.cpu.fastpath.Predecoded` entry is resolved through
     the process-wide intern table, and one :data:`BATCH_HANDLERS` call
-    executes the whole group.  Lanes halt independently (``sys 0``) or
+    executes the whole group (undecodable words trap on
+    :func:`_b_scalar`).  Lanes halt independently (``sys 0``) or
     park on a raised trap; :meth:`run` returns when no lane is active.
     """
 
@@ -1041,13 +916,9 @@ class BatchFunctionalSimulator:
             if lanes.size == 0:
                 break
             if step >= max_steps:
-                detail = (
-                    watchdog_detail if watchdog_detail is not None
-                    else f"exceeded {max_steps} steps without halting"
-                )
-                for lane in lanes:
-                    bm.trap_lane(int(lane), TrapCause.WATCHDOG,
-                                 detail=detail)
+                for lane in lanes.tolist():
+                    bm.on_lane(lane, _fastpath._watchdog, max_steps,
+                               watchdog_detail)
                 # The serial drivers stop stepping a machine once its
                 # watchdog fires, whatever the policy action was.
                 break
@@ -1082,14 +953,9 @@ class BatchFunctionalSimulator:
                     # (interns the entry; error text included).
                     entry = _fastpath._predecode(bm.mem[glanes[0]],
                                                  int(gpcs[0]))
-                if entry.handler is None:
-                    for lane in glanes:
-                        bm.trap_lane(int(lane), TrapCause.ILLEGAL_OPCODE,
-                                     detail=entry.error)
-                else:
-                    pc_next = (gpcs + entry.words) & 0xFFFF
-                    BATCH_HANDLERS[entry.mnemonic](bm, entry, glanes,
-                                                   pc_next)
+                handler = (_b_scalar if entry.handler is None
+                           else BATCH_HANDLERS[entry.mnemonic])
+                handler(bm, entry, glanes, (gpcs + entry.words) & 0xFFFF)
             lane_steps[lanes] += 1
             step += 1
         return lane_steps

@@ -148,8 +148,8 @@ def static_effects(instr: Instr) -> StaticEffects:
 # same handler and adds the observability hooks around it.  Everything
 # architectural -- register/memory/Qat semantics, trap causes, trap
 # detail strings, PC arithmetic -- lives here.  The batched simulator
-# keeps its own vectorized copy (:mod:`repro.cpu.batch`), held equal by
-# the differential suites.
+# (:mod:`repro.cpu.batch`) vectorizes only the common case; a lane that
+# traps, calls ``sys`` or converts runs these handlers on a view of itself.
 #
 # Signature: ``handler(machine, instr, ops, pc_next, syscalls) -> next_pc``.
 # The caller owns ``machine.pc = next_pc`` and the ``instret`` increment.
@@ -584,70 +584,3 @@ def execute(machine, instr: Instr, syscalls=None) -> Effects:
         _obs.current().qat_executed(m, t0)
     return Effects(m, next_pc, taken)
 
-
-# ---------------------------------------------------------------------------
-# Batch-execution metadata
-# ---------------------------------------------------------------------------
-#
-# The batched simulator (:mod:`repro.cpu.batch`) groups machines by the
-# raw instruction word they are about to execute and dispatches one
-# handler call per group.  This table declares, per mnemonic, how that
-# handler runs across the lane axis:
-#
-# - ``"vector"``: one NumPy expression over every lane in the group
-#   (ALU/branch/memory traffic, and Qat gates on the dense substrate);
-# - ``"lanewise"``: a per-lane scalar loop inside the batch handler --
-#   table-driven bf16 conversions, ``sys`` side effects (output lists,
-#   halt), and the AoB ordinal probes (``next``/``pop``) whose results
-#   are data-dependent scans.
-#
-# The split is advisory metadata for tooling and docs; correctness never
-# depends on it (a "vector" mnemonic may still fall back to a scalar
-# loop, e.g. every Qat op on the RE-compressed substrate).
-
-BATCH_VECTOR = "vector"
-BATCH_LANEWISE = "lanewise"
-
-#: mnemonic -> :data:`BATCH_VECTOR` | :data:`BATCH_LANEWISE`.
-BATCH_EXEC = {
-    "add": BATCH_VECTOR,
-    "addf": BATCH_VECTOR,
-    "and": BATCH_VECTOR,
-    "brf": BATCH_VECTOR,
-    "brt": BATCH_VECTOR,
-    "copy": BATCH_VECTOR,
-    "float": BATCH_LANEWISE,
-    "int": BATCH_LANEWISE,
-    "jumpr": BATCH_VECTOR,
-    "lex": BATCH_VECTOR,
-    "lhi": BATCH_VECTOR,
-    "load": BATCH_VECTOR,
-    "mul": BATCH_VECTOR,
-    "mulf": BATCH_VECTOR,
-    "neg": BATCH_VECTOR,
-    "negf": BATCH_VECTOR,
-    "not": BATCH_VECTOR,
-    "or": BATCH_VECTOR,
-    "recip": BATCH_LANEWISE,
-    "shift": BATCH_VECTOR,
-    "slt": BATCH_VECTOR,
-    "store": BATCH_VECTOR,
-    "sys": BATCH_LANEWISE,
-    "xor": BATCH_VECTOR,
-    "qand": BATCH_VECTOR,
-    "qccnot": BATCH_VECTOR,
-    "qcnot": BATCH_VECTOR,
-    "qcswap": BATCH_VECTOR,
-    "qhad": BATCH_VECTOR,
-    "qmeas": BATCH_VECTOR,
-    "qnext": BATCH_LANEWISE,
-    "qnot": BATCH_VECTOR,
-    "qone": BATCH_VECTOR,
-    "qor": BATCH_VECTOR,
-    "qpop": BATCH_LANEWISE,
-    "qswap": BATCH_VECTOR,
-    "qxor": BATCH_VECTOR,
-    "qzero": BATCH_VECTOR,
-}
-
-assert set(BATCH_EXEC) == set(INSTRUCTIONS), "batch metadata out of sync"

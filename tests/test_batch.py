@@ -8,6 +8,8 @@ strings for parked lanes, and -- the bar the campaign driver relies on
 -- byte-identical campaign reports for ``--batch N`` vs serial.
 """
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,9 +23,11 @@ from repro.cpu.qat_backend import REQatBackend
 from repro.errors import ReproError, SimulatorError
 from repro.faults.campaign import render_report, run_campaign
 from repro.faults.inject import FaultPlan, apply_event
-from repro.faults.traps import TrapCause, TrapDelivered
+from repro.faults.traps import TrapCause, TrapDelivered, TrapPolicy
+from repro.isa import Instr, encode
+from repro.isa.registers import RV
 
-from tests.test_pipeline import random_program
+from tests.test_pipeline import QAT3, SAFE_ALU, SAFE_UNARY, random_program
 
 BACKENDS = ["dense", "re"]
 
@@ -35,13 +39,14 @@ ALL_TARGETS = ("gpr", "mem", "qreg", "pc")
 # Drivers
 # ---------------------------------------------------------------------------
 
-def _serial_run(words, plan, *, ways, backend, max_steps):
+def _serial_run(words, plan, *, ways, backend, max_steps, trap_policy=None):
     """One serial lane: campaign-style drive with per-step fault events.
 
     Returns ``(sim, error)`` where ``error`` is the stringified trap
     for a run that died (what the batch engine parks the lane with).
     """
-    sim = FunctionalSimulator(ways=ways, qat_backend=backend)
+    sim = FunctionalSimulator(ways=ways, qat_backend=backend,
+                              trap_policy=trap_policy)
     sim.load(list(words))
     error = None
     events = plan.events if plan is not None else ()
@@ -68,9 +73,10 @@ def _serial_run(words, plan, *, ways, backend, max_steps):
     return sim, error
 
 
-def _batch_run(words, plans, *, ways, backend, max_steps):
+def _batch_run(words, plans, *, ways, backend, max_steps, trap_policy=None):
     batch = BatchFunctionalSimulator(len(plans), ways=ways,
-                                     qat_backend=backend)
+                                     qat_backend=backend,
+                                     trap_policy=trap_policy)
     batch.load(list(words))
     batch.run(max_steps=max_steps, plans=plans)
     return batch
@@ -166,6 +172,113 @@ class TestBatchVsSerialState:
         for lane in range(3):
             assert "exceeded 10 steps" in bm.errors[lane]
             assert bm.traps[lane][-1].cause is TrapCause.WATCHDOG
+
+
+# ---------------------------------------------------------------------------
+# Trap-policy differential: every cause, every policy action
+# ---------------------------------------------------------------------------
+
+#: instruction kind -> draw weight for :func:`_policy_program`; trapping
+#: kinds are rare enough that a run usually reaches several of them
+_KINDS = {"imm": 8, "alu": 4, "bf16": 1, "unary": 2, "mem": 4, "qat3": 2,
+          "qat1": 1, "qhad": 1, "qmeas": 1, "sys": 1, "illegal": 0.3,
+          "branch": 2}
+
+
+def _policy_program(rng) -> tuple[list[int], int]:
+    """Random words over every trapping instruction, plus a trap handler.
+
+    Beside the ALU/Qat mix of :func:`random_program` the body draws
+    ``addf``/``mulf``/``store``, ``sys`` services 0-6, unassigned
+    opcodes and raw branch offsets (backward ones may spin until the
+    watchdog fires).  It ends in ``lex $rv, 0; sys`` followed by
+    ``jumpr $14`` at the returned ``handler`` address, where a vectored
+    trap lands and resumes at its epc.
+    """
+    r = lambda: rng.randrange(10)  # noqa: E731
+    q = lambda: rng.randrange(8)  # noqa: E731
+    words: list[int] = []
+    for _ in range(rng.randrange(8, 40)):
+        kind, = rng.choices(list(_KINDS), weights=list(_KINDS.values()))
+        if kind == "imm":
+            instr = Instr(rng.choice(["lex", "lhi"]), (r(), rng.randrange(256)))
+        elif kind == "alu":
+            instr = Instr(rng.choice(SAFE_ALU), (r(), r()))
+        elif kind == "bf16":
+            instr = Instr(rng.choice(["addf", "mulf"]), (r(), r()))
+        elif kind == "unary":
+            instr = Instr(rng.choice(SAFE_UNARY), (r(),))
+        elif kind == "mem":
+            instr = Instr(rng.choice(["load", "store"]), (r(), r()))
+        elif kind == "qat3":
+            instr = Instr(rng.choice(QAT3), (q(), q(), q()))
+        elif kind == "qat1":
+            instr = Instr(rng.choice(["qnot", "qzero", "qone"]), (q(),))
+        elif kind == "qhad":
+            instr = Instr("qhad", (q(), rng.randrange(8)))
+        elif kind == "qmeas":
+            instr = Instr(rng.choice(["qmeas", "qnext", "qpop"]), (r(), q()))
+        elif kind == "sys":
+            words += encode(Instr("lex", (RV, rng.randrange(7))))
+            instr = Instr("sys", ())
+        elif kind == "illegal":
+            words.append(rng.choice([0x6000, 0x7000, 0xF000])
+                         | rng.randrange(0x1000))
+            continue
+        else:
+            offset = rng.randrange(4) if rng.random() < 0.8 \
+                else -rng.randrange(1, 6)
+            instr = Instr(rng.choice(["brf", "brt"]), (r(), offset))
+        words += encode(instr)
+    words += encode(Instr("lex", (RV, 0))) + encode(Instr("sys", ()))
+    handler = len(words)
+    return words + encode(Instr("jumpr", (14,))), handler
+
+
+#: The detection knobs, all on: fence, strict Qat operands, bf16 traps.
+KNOBS = dict(mem_fence=0x8000, strict_qat=True, trap_bf16=True)
+
+#: policy name -> policy for a program whose trap handler is at ``handler``
+POLICIES = {
+    "raise": lambda handler: TrapPolicy(),
+    "raise-knobs": lambda handler: TrapPolicy(**KNOBS),
+    "halt": lambda handler: TrapPolicy.halting(**KNOBS),
+    "vector": lambda handler: TrapPolicy.vectored(handler, **KNOBS),
+}
+
+
+class TestBatchVsSerialTrapPolicies:
+    PROGRAMS, LANES, MAX_STEPS = 30, 4, 300
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_random_programs_under_policy(self, backend, policy):
+        """Lanes with their own fault plans match serial runs under
+        each policy, and every cause the policy can see fires."""
+        fired = set()
+        for seed in range(self.PROGRAMS):
+            rng = random.Random(seed)
+            words, handler = _policy_program(rng)
+            trap_policy = POLICIES[policy](handler)
+            plans = [None] + [
+                FaultPlan.from_seed(rng.randrange(2**31), n_faults=2,
+                                    max_step=64, ways=6, targets=ALL_TARGETS)
+                for _ in range(self.LANES - 1)
+            ]
+            batch = _batch_run(words, plans, ways=6, backend=backend,
+                               max_steps=self.MAX_STEPS,
+                               trap_policy=trap_policy)
+            for lane, plan in enumerate(plans):
+                sim, error = _serial_run(words, plan, ways=6, backend=backend,
+                                         max_steps=self.MAX_STEPS,
+                                         trap_policy=trap_policy)
+                _assert_lane_matches(sim, error, batch, lane)
+                fired.update(record.cause for record in sim.machine.traps)
+        if policy == "raise":
+            assert fired >= {TrapCause.ILLEGAL_OPCODE,
+                             TrapCause.UNKNOWN_SYSCALL, TrapCause.WATCHDOG}
+        else:
+            assert fired == set(TrapCause)
 
 
 # ---------------------------------------------------------------------------
