@@ -151,6 +151,12 @@ class PredecodeCache:
     def invalidate_all(self) -> None:
         self.entries.clear()
 
+    def fork(self) -> "PredecodeCache":
+        """A cache of its own holding this one's entries."""
+        twin = PredecodeCache()
+        twin.entries = dict(self.entries)
+        return twin
+
 
 def cache_for(machine) -> PredecodeCache | None:
     """The machine's predecode cache (``None`` when disabled on it)."""

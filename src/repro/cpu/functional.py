@@ -15,6 +15,8 @@ trap-handler program.
 
 from __future__ import annotations
 
+import copy
+
 from repro.aob.bitvector import QAT_WAYS
 from repro.cpu import fastpath as _fastpath
 from repro.cpu.exec_core import TRAP_MNEMONIC, Effects, execute
@@ -51,6 +53,14 @@ class FunctionalSimulator:
         entry = getattr(program, "entry", 0) if origin is None else origin
         self.machine.load_program(words, origin=0 if origin is None else origin)
         self.machine.pc = entry
+
+    def fork(self) -> "FunctionalSimulator":
+        """An independent copy of this simulator, mid-run, on a
+        :meth:`MachineState.fork`: stepping either leaves the other as it
+        was."""
+        twin = copy.copy(self)
+        twin.machine = self.machine.fork()
+        return twin
 
     def fetch_decode(self) -> tuple[Instr, int]:
         """Decode the instruction at the current PC."""

@@ -13,6 +13,7 @@ and are swappable for sensitivity studies.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from repro.aob.bitvector import QAT_WAYS
@@ -97,6 +98,14 @@ class MultiCycleSimulator(FunctionalSimulator):
         """Load an assembled program image."""
         super().load(program, origin)
         self.cycles = 0
+
+    def fork(self) -> "MultiCycleSimulator":
+        """An independent copy mid-run (:meth:`FunctionalSimulator.fork`)
+        whose trap records read its own cycle count."""
+        twin = super().fork()
+        owner = weakref.ref(twin)  # no cycle: see PipelinedSimulator.fork
+        twin.machine.cycle_provider = lambda: owner().cycles
+        return twin
 
     def step(self) -> int:
         """Execute one instruction; returns the cycles it cost."""

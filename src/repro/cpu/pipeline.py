@@ -29,7 +29,9 @@ random programs anyway.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+import weakref
+from dataclasses import dataclass, field, replace
 
 from repro.aob.bitvector import QAT_WAYS
 from repro.cpu import fastpath as _fastpath
@@ -171,6 +173,26 @@ class PipelinedSimulator:
         self.stats = PipelineStats()
         self._flush_refill = 0
         self._flush_instr = None
+
+    def fork(self) -> "PipelinedSimulator":
+        """An independent copy of this pipeline, mid-run.
+
+        The copy has its own :meth:`MachineState.fork`, in-flight
+        records, :class:`PipelineStats` and fetch/flush state; its trap
+        records and ``sys`` cycle reads see its own clock.
+        """
+        twin = copy.copy(self)
+        twin.machine = self.machine.fork()
+        # A weak clock: no reference cycle, so a finished fork (its
+        # memory copy fully resident) is freed at once, not by the
+        # cyclic collector.
+        owner = weakref.ref(twin)
+        twin.machine.cycle_provider = lambda: owner().stats.cycles
+        twin.syscalls = self.syscalls.with_clock(twin.machine.cycle_provider)
+        twin.stats = replace(self.stats)
+        twin._pipe = [copy.copy(rec) for rec in self._pipe]
+        twin._fetch_current = copy.copy(self._fetch_current)
+        return twin
 
     # -- fetch/decode ----------------------------------------------------------------
 

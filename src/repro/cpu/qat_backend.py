@@ -25,6 +25,8 @@ layer and the fault campaigns are substrate-agnostic.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from repro.aob import AoB, kernels
@@ -182,6 +184,12 @@ class DenseQatBackend(QatBackend):
 
     def flip_bit(self, reg: int, word: int, bit: int) -> None:
         self.qregs[reg, word] ^= np.uint64(1 << bit)
+
+    def fork(self) -> "DenseQatBackend":
+        """An independent copy of this register file."""
+        twin = copy.copy(self)
+        twin.qregs = self.qregs.copy()
+        return twin
 
     def stats(self) -> dict:
         return {"backend": self.name, "ways": self.ways,
@@ -350,6 +358,23 @@ class REQatBackend(QatBackend):
         """
         channel = (word << 6) | bit
         self.regs[reg] = self.regs[reg].with_flipped_bit(channel)
+
+    def fork(self) -> "REQatBackend":
+        """An independent copy of this register file over a
+        :meth:`ChunkStore.fork` of its store.  Registers holding the same
+        value object share its rebound copy, so a file of mostly equal
+        registers rebinds a handful of values, not 256."""
+        twin = copy.copy(self)
+        store = twin.store = self.store.fork()
+        rebound: dict[int, PatternVector] = {}
+        regs = []
+        for value in self.regs:
+            twin_value = rebound.get(id(value))
+            if twin_value is None:
+                twin_value = rebound[id(value)] = value.rebound(store)
+            regs.append(twin_value)
+        twin.regs = regs
+        return twin
 
     def stats(self) -> dict:
         out = {"backend": self.name, "ways": self.ways,

@@ -14,6 +14,8 @@ bounded memory (paper section 1.2).
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from repro.aob import AoB
@@ -153,6 +155,25 @@ class MachineState:
         copy-on-write run split so interned chunks are never corrupted.
         """
         self.qat.flip_bit(reg, word, bit)
+
+    def fork(self) -> "MachineState":
+        """An independent copy of this machine, mid-run.
+
+        The copy has its own registers, memory, Qat register file
+        (:meth:`~repro.cpu.qat_backend.QatBackend.fork`), output and
+        trap lists, and a copy of the predecode map; the trap policy is
+        shared.  A timing simulator's fork rebinds ``cycle_provider``
+        to its own clock.
+        """
+        twin = copy.copy(self)
+        twin.qat = self.qat.fork()
+        twin.regs = self.regs.copy()
+        twin.mem = self.mem.copy()
+        twin.output = list(self.output)
+        twin.traps = list(self.traps)
+        if self._predecode is not None:
+            twin._predecode = self._predecode.fork()
+        return twin
 
     def snapshot(self) -> dict:
         """Copy of the architectural state (for equivalence testing)."""

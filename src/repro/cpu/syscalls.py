@@ -23,8 +23,11 @@ program emulate the service.  Output is accumulated in
 
 from __future__ import annotations
 
+import copy
+
 from repro.faults.traps import TrapCause
 from repro.isa.registers import RV
+from repro.obs import flight as _flight
 
 HALT = 0
 PRINT_INT = 1
@@ -44,13 +47,18 @@ class SyscallHandler:
         """Install ``handler(machine)`` for a service number."""
         self._custom[service] = handler
 
+    def with_clock(self, cycle_source) -> "SyscallHandler":
+        """A copy of this handler whose cycle-read service reads
+        ``cycle_source``."""
+        twin = copy.copy(self)
+        twin._cycle_source = cycle_source
+        return twin
+
     def handle(self, machine) -> None:
         """Dispatch one ``sys`` instruction on ``machine``."""
         service = machine.read_reg(RV)
         # Flight recorder: machine.pc still addresses the ``sys`` word
         # here in both the slow path and the fast handlers.
-        from repro.obs import flight as _flight
-
         if _flight.RECORDER.enabled:
             _flight.RECORDER.note_syscall(machine.pc, service)
         custom = self._custom.get(service)

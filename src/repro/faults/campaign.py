@@ -1,6 +1,6 @@
 """Seeded soft-error campaigns over the Tangled/Qat simulators.
 
-A campaign runs the same program ``N`` times, each run with a fresh
+A campaign runs the same program ``N`` times, each run with its own
 simulator and a deterministic per-run :class:`~repro.faults.inject.FaultPlan`
 derived from the master seed, and classifies every run the way the
 fault-tolerance literature does:
@@ -32,6 +32,11 @@ import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from repro.cpu import (
+    FunctionalSimulator,
+    MultiCycleSimulator,
+    PipelinedSimulator,
+)
 from repro.cpu import fastpath as _fastpath
 from repro.cpu.qat_backend import REQatBackend
 from repro.errors import ReproError
@@ -90,8 +95,6 @@ def _load_program(name: str):
 
 def _new_simulator(sim: str, ways: int, trap_policy: TrapPolicy | None,
                    qat_backend: str = "dense"):
-    from repro.cpu import FunctionalSimulator, MultiCycleSimulator, PipelinedSimulator
-
     if sim == "functional":
         return FunctionalSimulator(ways=ways, trap_policy=trap_policy,
                                    qat_backend=qat_backend)
@@ -109,27 +112,35 @@ def _architectural_result(machine) -> tuple:
     return (tuple(int(r) for r in machine.regs), tuple(machine.output))
 
 
-def _drive(sim, plan: FaultPlan | None, max_steps: int) -> int:
-    """Run ``sim`` to halt, applying each fault event before its step.
+def _segment(sim):
+    """The segment drive for ``sim``: :func:`repro.cpu.fastpath.drive`,
+    or :func:`~repro.cpu.fastpath.run_stepped` on the pipelined sim,
+    whose ``latch`` events hit in-flight stages."""
+    if isinstance(sim, PipelinedSimulator):
+        return _fastpath.run_stepped
+    return _fastpath.drive
+
+
+def _drive(sim, plan: FaultPlan | None, max_steps: int, step: int = 0) -> int:
+    """Run ``sim`` to halt from ``step``, applying each fault event
+    before its step.
 
     The run is cut into segments at the event steps of the (sorted)
     plan.  The functional and multi-cycle sims run each segment through
     :func:`repro.cpu.fastpath.drive` -- the predecoded fast loop unless
     an observer (telemetry, trace, profiler) is attached; the pipelined
-    sim, whose ``latch`` events hit in-flight stages, always steps
-    (:func:`~repro.cpu.fastpath.run_stepped`).  Both give byte-identical
+    sim always steps (:func:`_segment`).  Both give byte-identical
     reports.
 
-    Returns the number of steps executed (the fan-out progress layer
-    turns it into a steps/sec heartbeat)."""
-    from repro.cpu import PipelinedSimulator
-
-    pipeline = sim if isinstance(sim, PipelinedSimulator) else None
-    segment = _fastpath.drive if pipeline is None else _fastpath.run_stepped
+    ``step`` resumes a run forked from the golden cursor there; no event
+    of ``plan`` is due before it.  Returns the step count, those before
+    ``step`` included (the fan-out progress layer turns it into a
+    steps/sec heartbeat)."""
+    segment = _segment(sim)
+    pipeline = sim if segment is _fastpath.run_stepped else None
     watchdog = f"campaign watchdog: exceeded {max_steps} steps"
     events = plan.events if plan is not None else ()
     due = 0
-    step = 0
     while True:
         stop = events[due].step if due < len(events) else None
         step = segment(sim, max_steps, step, stop, watchdog)
@@ -172,6 +183,37 @@ _WORKER_IMAGES: dict[str, object] = {}
 #: :func:`run_campaign` and :func:`_worker_init`, so no template
 #: outlives its campaign.
 _RE_TEMPLATES: dict[tuple, ChunkStore] = {}
+
+
+class _GoldenCursor:
+    """The golden run of one campaign, paused at :attr:`step`.
+
+    A faulted run *is* the golden run until its first fault event, so
+    :func:`_single_run` forks the cursor there instead of re-simulating
+    that prefix.  The cursor only moves forward; a run behind it gets a
+    new cursor.  :attr:`flight` is every flight-recorder event the
+    cursor produced since load -- the prefix each fork appends to the
+    ring.
+    """
+
+    def __init__(self, image, sim):
+        self.image = image
+        self.sim = sim
+        self.step = 0
+        self.flight: list[tuple] = []
+
+    def advance(self, step: int) -> None:
+        """Drive on to ``step`` (not past a halt) on :func:`_drive`'s
+        segment drive, recording into :attr:`flight`."""
+        if step > self.step:
+            with _flight.RECORDER.diverted(self.flight):
+                self.step = _segment(self.sim)(self.sim, sys.maxsize,
+                                               self.step, step)
+
+
+#: Per-process golden cursors, keyed by ``(program, sim, ways,
+#: qat_backend)``; dropped wherever :data:`_RE_TEMPLATES` is.
+_CURSORS: dict[tuple, _GoldenCursor] = {}
 
 
 class RunTask(NamedTuple):
@@ -256,11 +298,43 @@ def _worker_init() -> None:
     reset_default_stores()
     _WORKER_IMAGES.clear()
     _RE_TEMPLATES.clear()
+    _CURSORS.clear()
+
+
+def _first_event(task: RunTask) -> int:
+    """Step of the task's first fault event: 0 for a plan without one."""
+    events = task.plan.events
+    return events[0].step if events else 0
+
+
+def _forked_golden(task: RunTask, image, step: int):
+    """``(simulator, its step)``: a fork of the task's golden cursor at
+    ``step`` (at its halt, if that comes first), after the cursor's
+    flight events -- the run's golden prefix -- have gone into the ring.
+    A cursor past ``step``, or of another image, is rebuilt."""
+    _, program, sim, ways, qat_backend, _, _, _ = task
+    key = (program, sim, ways, qat_backend)
+    cursor = _CURSORS.get(key)
+    if cursor is None or cursor.image is not image or cursor.step > step:
+        golden = _new_simulator(sim, ways, None, qat_backend=_run_qat(
+            program, sim, ways, qat_backend))
+        golden.load(image)
+        cursor = _CURSORS[key] = _GoldenCursor(image, golden)
+    cursor.advance(step)
+    if _flight.RECORDER.enabled:
+        _flight.RECORDER.extend(cursor.flight)
+    return cursor.sim.fork(), cursor.step
 
 
 def _single_run(task: RunTask,
                 attempt: int = 0) -> tuple[int, dict, float, int, int]:
     """Execute one faulted run; pure function of its task.
+
+    The run starts from a fork of the golden run at its first fault
+    event (:func:`_forked_golden`): the steps before it are the golden
+    run's.  A plan without events, and every run while telemetry is
+    captured -- so ``--stats`` counters count every instruction -- start
+    from a fresh load at step 0 instead.
 
     Returns ``(run index, RunResult dict, wall seconds, steps, worker)``
     so results can be merged deterministically regardless of worker
@@ -286,14 +360,18 @@ def _single_run(task: RunTask,
     )
     chaos_hook(run, attempt)
     image = _worker_image(program)
-    subject = _new_simulator(sim, ways, None, qat_backend=_run_qat(
-        program, sim, ways, qat_backend))
-    subject.load(image)
     t0 = time.perf_counter()
+    start = 0 if _obs.active else _first_event(task)
+    if start:
+        subject, start = _forked_golden(task, image, start)
+    else:
+        subject = _new_simulator(sim, ways, None, qat_backend=_run_qat(
+            program, sim, ways, qat_backend))
+        subject.load(image)
     steps = 0
     error = None
     try:
-        steps = _drive(subject, plan, watchdog)
+        steps = _drive(subject, plan, watchdog, start)
     except ReproError as exc:
         error = str(exc)
     machine = subject.machine
@@ -523,6 +601,9 @@ def run_campaign(
         raise ReproError(f"jobs must be positive, got {jobs}")
     if batch <= 0:
         raise ReproError(f"batch must be positive, got {batch}")
+    if faults_per_run < 0:
+        raise ReproError(
+            f"faults_per_run must be non-negative, got {faults_per_run}")
     if batch > 1 and sim != "functional":
         raise ReproError(
             f"batch campaigns need the functional simulator, got {sim!r} "
@@ -538,6 +619,7 @@ def run_campaign(
 
     reset_default_stores()
     _RE_TEMPLATES.clear()
+    _CURSORS.clear()
     image = _load_program(program)
     golden_qat = REQatBackend(ways) if qat_backend == "re" else qat_backend
     accesses = AccessIndex()
@@ -601,6 +683,10 @@ def run_campaign(
                 _classify(task.run, task.plan, None, (), golden, golden),
                 0.0, 0, 1, 0, pruned=True)
     pending = simulate
+    # Serial and --jobs runs fork the golden cursor at their first fault
+    # event; in first-event order each process's cursor only moves on.
+    in_fork_order = sorted(pending, key=lambda task: (_first_event(task),
+                                                      task.run))
 
     interrupted = None
     if fanout:
@@ -630,7 +716,7 @@ def run_campaign(
                       if tracker is not None else None),
         )
         try:
-            supervisor.run({task.run: task for task in pending},
+            supervisor.run({task.run: task for task in in_fork_order},
                            on_result=_on_result)
         except SupervisorInterrupted as stop:
             interrupted = stop
@@ -644,10 +730,11 @@ def run_campaign(
         _batch_pending(pending, batch, image, _settle)
     elif pending:
         _WORKER_IMAGES[program] = image
-        for task in pending:
+        for task in in_fork_order:
             run_idx, detail, seconds, steps, worker = _single_run(task)
             _settle(run_idx, detail, seconds, steps, 1, worker)
     _RE_TEMPLATES.clear()
+    _CURSORS.clear()
     if tracker is not None:
         tracker.finish()
 

@@ -33,6 +33,8 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.errors import SyscallError, TrapError
+from repro.obs import flight as _flight
+from repro.obs import runtime as _obs
 
 
 class TrapCause(enum.Enum):
@@ -188,9 +190,6 @@ def deliver(machine, cause: TrapCause, detail: str = "",
         detail=detail,
     )
     machine.traps.append(record)
-
-    from repro.obs import flight as _flight
-    from repro.obs import runtime as _obs
 
     if _flight.RECORDER.enabled:
         _flight.RECORDER.note_trap(record.pc, cause.value, cycle,

@@ -50,6 +50,8 @@ from __future__ import annotations
 
 import json
 import os
+import sys
+from contextlib import contextmanager
 
 #: Ring capacity (events kept) unless ``TANGLED_FLIGHT`` overrides it.
 DEFAULT_CAPACITY = 4096
@@ -109,6 +111,26 @@ class FlightRecorder:
             drop = len(events) - self.capacity
             self.trimmed += drop
             del events[:drop]
+
+    def extend(self, events) -> None:
+        """Append ``events`` in order: the ring a one-by-one append of
+        them would leave, as :meth:`snapshot` and :meth:`total` see it."""
+        self.events.extend(events)
+        self._trim()
+
+    @contextmanager
+    def diverted(self, events: list):
+        """Record into ``events``, untrimmed, instead of the ring until
+        the block exits.  A campaign's golden cursor keeps its stream
+        this way and hands it to :meth:`extend` for each run forked from
+        it, so the ring reads as if the run had executed the golden
+        prefix itself."""
+        ring, limit = self.events, self.limit
+        self.events, self.limit = events, sys.maxsize
+        try:
+            yield
+        finally:
+            self.events, self.limit = ring, limit
 
     def note_retire(self, pc: int, raw: tuple) -> None:
         """One retired instruction (slow path; fast loops inline this)."""

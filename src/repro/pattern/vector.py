@@ -360,6 +360,15 @@ class PatternVector:
         """Total number of 1 channels (O(runs))."""
         return sum(count * self.store.popcount(sym) for sym, count in self.runs)
 
+    def rebound(self, store: ChunkStore) -> "PatternVector":
+        """This value over ``store``, a :meth:`ChunkStore.fork` of its
+        store, where every symbol means the same chunk: nothing is
+        re-interned."""
+        twin = PatternVector.__new__(PatternVector)
+        twin.ways, twin.nbits, twin.runs = self.ways, self.nbits, self.runs
+        twin.store = store
+        return twin
+
     # -- single-channel mutation (fault injection) ------------------------------
 
     def with_flipped_bit(self, channel: int) -> "PatternVector":

@@ -361,7 +361,8 @@ class Supervisor:
         """Execute every shard; returns ``{shard: ShardOutcome}``.
 
         ``payloads`` is a mapping ``{shard_id: payload}`` (a sequence is
-        treated as ``enumerate``).  ``on_result(outcome)`` fires in the
+        treated as ``enumerate``); shards are dispatched in its order,
+        retries behind them.  ``on_result(outcome)`` fires in the
         parent the moment a shard reaches a terminal state (success or
         quarantine) -- the journaling / progress hook.  Raises
         :class:`SupervisorInterrupted` on Ctrl-C with the partial
@@ -382,7 +383,7 @@ class Supervisor:
             )
         attempts = {shard: 0 for shard in items}
         failures: dict[int, list[dict]] = {shard: [] for shard in items}
-        queue: deque[int] = deque(sorted(items))
+        queue: deque[int] = deque(items)
         delayed: list[tuple[float, int]] = []
         # A worker dying faster than work completes (e.g. an initializer
         # that cannot allocate under the memory ceiling) must not become

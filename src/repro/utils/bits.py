@@ -46,6 +46,14 @@ def ctz64(word: int) -> int:
     return (word & -word).bit_length() - 1
 
 
+#: ``H(k)``'s repeating 64-bit word for each ``k < 6`` (bit ``e`` is bit
+#: ``k`` of ``e``): ``had`` patterns are constants (paper section 2.3).
+_HADAMARD_WORDS = tuple(
+    np.uint64(sum(1 << bit for bit in range(WORD_BITS) if (bit >> k) & 1))
+    for k in range(6)
+)
+
+
 def hadamard_word(k: int) -> np.uint64:
     """The repeating 64-bit word of the Hadamard pattern ``H(k)`` for k < 6.
 
@@ -56,11 +64,7 @@ def hadamard_word(k: int) -> np.uint64:
     """
     if not 0 <= k < 6:
         raise ValueError(f"hadamard_word needs 0 <= k < 6, got {k}")
-    value = 0
-    for bit in range(WORD_BITS):
-        if (bit >> k) & 1:
-            value |= 1 << bit
-    return np.uint64(value)
+    return _HADAMARD_WORDS[k]
 
 
 def popcount_words(words: np.ndarray) -> int:

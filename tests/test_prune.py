@@ -40,6 +40,7 @@ def _program(words):
         campaign._load_program = real
         campaign._WORKER_IMAGES.clear()
         campaign._RE_TEMPLATES.clear()
+        campaign._CURSORS.clear()
 
 
 def _oracle(program, runs, seed, sim="functional", ways=8,
@@ -64,6 +65,7 @@ def _oracle(program, runs, seed, sim="functional", ways=8,
     finally:
         campaign._WORKER_IMAGES.clear()
         campaign._RE_TEMPLATES.clear()
+        campaign._CURSORS.clear()
     return simulated, pruned, lanes
 
 
@@ -439,6 +441,7 @@ class TestAccessIndex:
 
         monkeypatch.setattr(campaign, "_single_run", counting)
         report = run_campaign(runs=8, seed=7)
-        assert simulated == [0, 1, 5, 6]  # runs 2-4 and 7 are pruned
+        # Runs 2-4 and 7 are pruned; the rest run in first-event order.
+        assert simulated == [6, 5, 1, 0]
         assert [d["outcome"] for d in report["runs_detail"]] == \
             ["silent"] * 2 + ["masked"] * 3 + ["silent"] * 2 + ["masked"]
